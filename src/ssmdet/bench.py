@@ -1,6 +1,7 @@
 """Scan timing harness with checksum-verified implementations.
 
-Rows report the median wall time over repeats; the blocked variant is
+Rows report the median wall time over repeats. The blocked rows time the
+chunked scan core that ``ssm_scan`` runs inside the detector; each is
 checked against the sequential reference before any timing so a broken
 kernel can never publish numbers.
 """

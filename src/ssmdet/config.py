@@ -34,7 +34,6 @@ class RunConfig:
     epochs: int = 200
     conf_threshold: float = 0.25
     out_dir: str = "runs"
-    data_dir: str = ""
     width_override: float = 0.0   # 0 means "use the scale's width"
     depth_override: float = 0.0
 

@@ -198,23 +198,51 @@ def save_annotations(annotated: list[AnnotatedImage], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_annotations(path) -> list[AnnotatedImage]:
+def _read_document(path, what: str, item: str, item_fields: int):
+    """Split a document into (image line head, item fields) records.
+
+    Checks the `count` line against the `image` lines and each image's
+    count against the `item` lines after it; ValueError names the line.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != f"version {_DOC_VERSION}":
-        raise ValueError(f"{path}: not a version-{_DOC_VERSION} annotations document")
-    out: list[AnnotatedImage] = []
+        raise ValueError(f"{path}: not a version-{_DOC_VERSION} {what} document")
+
+    def fail(i, message):
+        raise ValueError(f"{path} line {i + 1}: {message}")
+
+    def counted(i, kind):
+        line = lines[i] if i < len(lines) else ""
+        word, _, rest = line.partition(" ")
+        head, _, count = rest.rpartition(" ")
+        if word != kind or not count.isdigit():
+            fail(i, f"expected '{kind} ... <count>', got {line!r}")
+        return head, int(count)
+
+    _, num_images = counted(1, "count")
+    records = []
     i = 2
     while i < len(lines):
-        kind, rest = lines[i].split(" ", 1)
-        if kind != "image":
-            raise ValueError(f"{path}: expected image line, got {lines[i]!r}")
-        rel, h, w, nbox = rest.rsplit(" ", 3)
-        ann = AnnotatedImage(rel, int(h), int(w), [])
-        for j in range(int(nbox)):
-            parts = lines[i + 1 + j].split()
-            ann.boxes.append((int(parts[1]), tuple(float(v) for v in parts[2:6])))
-        out.append(ann)
-        i += 1 + int(nbox)
+        head, num_items = counted(i, "image")
+        items = [line.split() for line in lines[i + 1:i + 1 + num_items]]
+        if len(items) < num_items:
+            fail(i, f"image announces {num_items} {item} lines, {len(items)} follow")
+        for j, fields in enumerate(items, start=i + 1):
+            if fields[:1] != [item] or len(fields) != item_fields:
+                fail(j, f"expected a {item_fields}-field {item} line, got {lines[j]!r}")
+        records.append((head, items))
+        i += 1 + num_items
+    if len(records) != num_images:
+        fail(1, f"count {num_images} != {len(records)} image lines")
+    return records
+
+
+def load_annotations(path) -> list[AnnotatedImage]:
+    out: list[AnnotatedImage] = []
+    for head, boxes in _read_document(path, "annotations", "box", 6):
+        rel, h, w = head.rsplit(" ", 2)
+        out.append(AnnotatedImage(rel, int(h), int(w), [
+            (int(f[1]), tuple(float(v) for v in f[2:6])) for f in boxes]))
     return out
 
 
@@ -237,24 +265,8 @@ def save_detections(per_image: dict[str, list], path) -> None:
 
 
 def load_detections(path) -> dict[str, list]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != f"version {_DOC_VERSION}":
-        raise ValueError(f"{path}: not a version-{_DOC_VERSION} detections document")
-    out: dict[str, list] = {}
-    i = 2
-    while i < len(lines):
-        kind, rest = lines[i].split(" ", 1)
-        if kind != "image":
-            raise ValueError(f"{path}: expected image line, got {lines[i]!r}")
-        image_path, count = rest.rsplit(" ", 1)
-        dets = []
-        for j in range(int(count)):
-            parts = lines[i + 1 + j].split()
-            dets.append(Detection(
-                box=tuple(float(v) for v in parts[3:7]),
-                score=float(parts[2]),
-                class_id=int(parts[1]),
-            ))
-        out[image_path] = dets
-        i += 1 + int(count)
-    return out
+    return {
+        image_path: [Detection(box=tuple(float(v) for v in f[3:7]), score=float(f[2]),
+                               class_id=int(f[1])) for f in dets]
+        for image_path, dets in _read_document(path, "detections", "det", 7)
+    }

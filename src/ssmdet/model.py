@@ -30,6 +30,7 @@ from .metrics import iou_xyxy
 from .tensor import ShapeError, Tensor
 
 __all__ = [
+    "CheckpointMismatch",
     "Detection",
     "Detector",
     "FeaturePyramid",
@@ -38,6 +39,11 @@ __all__ = [
     "get_scale",
     "nms",
 ]
+
+
+class CheckpointMismatch(ValueError):
+    """A checkpoint's tensor names differ from the model's state names."""
+
 
 # Width/depth multipliers per scale over base channels (64,...,1024); the
 # resulting stage widths are recorded by `Detector.summary`.
@@ -321,8 +327,10 @@ class Detector(Module):
     def load_state(self, tensors: dict) -> None:
         own = self.state_arrays()
         missing = sorted(set(own) - set(tensors))
-        if missing:
-            raise KeyError(f"checkpoint missing {len(missing)} entries, first: {missing[0]}")
+        unexpected = sorted(set(tensors) - set(own))
+        if missing or unexpected:
+            raise CheckpointMismatch(f"checkpoint has {len(missing)} missing entries {missing[:1]} "
+                                     f"and {len(unexpected)} unexpected {unexpected[:1]}")
         for name, arr in own.items():
             loaded = tensors[name]
             if loaded.shape != arr.shape:

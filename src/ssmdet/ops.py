@@ -15,7 +15,6 @@ from numpy.lib.stride_tricks import as_strided
 from .tensor import ShapeError, Tensor, accumulate, concat, make_op
 
 __all__ = [
-    "activation",
     "batch_norm",
     "channel_shuffle",
     "concat_channels",
@@ -67,16 +66,6 @@ def softplus(x: Tensor) -> Tensor:
         accumulate(x, g * _sigmoid_stable(x.data))
 
     return make_op(out, rule, x)
-
-
-_ACTIVATIONS = {"silu": silu, "sigmoid": sigmoid, "softplus": softplus}
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
 
 
 # ---- convolution ----------------------------------------------------------

@@ -6,11 +6,12 @@ a per-channel timescale delta and evaluated as the recurrence
     h_t = Abar_t * h_{t-1} + Bbar_t * x_t,    y_t = sum_n P_t h_t + Q x_t
 
 with h_0 = 0. ``selective_scan_seq`` is the transparent step-by-step
-reference; ``selective_scan_blocked`` batches the discretization and the
-output contraction per chunk while carrying the state across chunk
-boundaries, and must match the reference within dtype tolerance on every
-instance. ``ssm_scan`` is the taped, batched variant used inside the
-vision blocks, with a hand-derived adjoint recurrence for backward.
+reference and the oracle. One chunked core discretizes and contracts a
+chunk at a time while carrying the state across chunks; its two callers
+differ only in the discretization: ``selective_scan_blocked`` (one
+sequence, per-channel B, ZOH or first-order) and ``ssm_scan`` (taped and
+batched, B and P shared over channels, used inside the vision blocks).
+Both must match the reference within dtype tolerance on every instance.
 """
 
 from __future__ import annotations
@@ -136,6 +137,30 @@ def selective_scan_seq(x: np.ndarray, params: SSMParams) -> ScanResult:
     return ScanResult(y=y, h_final=h)
 
 
+def _chunked_scan(x, p, q, discretize, block_len, states=None):
+    """Recurrence over x [batch, L, D]; returns y [batch, L, D] and h_L.
+
+    ``discretize(t0, t1)`` gives (Abar, Bbar*x) for steps t0..t1-1, each
+    [batch, t1-t0, D, N]; p broadcasts to [batch, L, D, N]. ``states``, if
+    given, is [batch, L+1, D, N] and receives h_{t-1} at [:, t].
+    """
+    bt, length, d = x.shape
+    n = p.shape[-1]
+    y = np.empty((bt, length, d), dtype=x.dtype)
+    h = np.zeros((bt, d, n), dtype=x.dtype)
+    for t0 in range(0, length, block_len):
+        t1 = min(t0 + block_len, length)
+        abar, bx = discretize(t0, t1)
+        hs = (states[:, t0:t1 + 1] if states is not None
+              else np.empty((bt, t1 - t0 + 1, d, n), dtype=x.dtype))
+        hs[:, 0] = h
+        for i in range(t1 - t0):
+            hs[:, i + 1] = abar[:, i] * hs[:, i] + bx[:, i]
+        h = hs[:, -1]
+        y[:, t0:t1] = (p[:, t0:t1] * hs[:, 1:]).sum(-1) + q * x[:, t0:t1]
+    return y, h
+
+
 def selective_scan_blocked(x: np.ndarray, params: SSMParams, block_len: int) -> ScanResult:
     """Chunked scan: vectorized discretization and output contraction per block.
 
@@ -148,75 +173,43 @@ def selective_scan_blocked(x: np.ndarray, params: SSMParams, block_len: int) -> 
         raise ShapeError(f"selective_scan_blocked: x must be [length, channels], got {x.shape}")
     if block_len < 1:
         raise ShapeError(f"selective_scan_blocked: block_len {block_len} must be >= 1")
-    length, d = x.shape
-    n = params.A.shape[1]
     disc = _DISCRETIZERS[params.method]
-    deltas, bs, ps = params.step_arrays(length)
-    h = np.zeros((d, n), dtype=x.dtype)
-    y = np.empty((length, d), dtype=x.dtype)
-    for t0 in range(0, length, block_len):
-        t1 = min(t0 + block_len, length)
+    deltas, bs, ps = params.step_arrays(x.shape[0])
+
+    def discretize(t0, t1):
         abar, bbar = disc(params.A, bs[t0:t1], deltas[t0:t1])
-        bx = bbar * x[t0:t1, :, None]
-        hbuf = np.empty((t1 - t0, d, n), dtype=x.dtype)
-        for i in range(t1 - t0):
-            h = abar[i] * h + bx[i]
-            hbuf[i] = h
-        y[t0:t1] = (ps[t0:t1] * hbuf).sum(axis=-1) + params.Q * x[t0:t1]
-    return ScanResult(y=y, h_final=h)
+        return abar[None], (bbar * x[t0:t1, :, None])[None]
+
+    y, h = _chunked_scan(x[None], ps[None], params.Q, discretize, block_len)
+    return ScanResult(y=y[0], h_final=h[0])
 
 
 # ---- taped batched scan ----------------------------------------------------
 
-def _scan_forward(xd, dd, a_diag, bd, pd, qd, block_len, keep_states):
-    bt, length, d = xd.shape
-    n = a_diag.shape[-1]
-    h = np.zeros((bt, d, n), dtype=xd.dtype)
-    y = np.empty((bt, length, d), dtype=xd.dtype)
-    hs = np.empty((bt, length, d, n), dtype=xd.dtype) if keep_states else None
-    for t0 in range(0, length, block_len):
-        t1 = min(t0 + block_len, length)
-        dch = dd[:, t0:t1]
-        abar = np.exp(dch[..., None] * a_diag)
-        bx = (dch * xd[:, t0:t1])[..., None] * bd[:, t0:t1, None, :]
-        hbuf = np.empty((bt, t1 - t0, d, n), dtype=xd.dtype)
-        for i in range(t1 - t0):
-            h = abar[:, i] * h + bx[:, i]
-            hbuf[:, i] = h
-        y[:, t0:t1] = (pd[:, t0:t1, None, :] * hbuf).sum(-1) + qd * xd[:, t0:t1]
-        if keep_states:
-            hs[:, t0:t1] = hbuf
-    return y, hs
-
-
-def _scan_backward(g, xd, dd, a_diag, bd, pd, qd, hs, block_len):
-    """Adjoint of the recurrence: lam_t = g_t P_t + Abar_{t+1} lam_{t+1}."""
+def _scan_backward(g, xd, dd, a_diag, bd, pd, qd, states, block_len):
+    """Adjoint lam_t = g_t P_t + Abar_{t+1} lam_{t+1}, then per-chunk contractions."""
     bt, length, d = xd.shape
     lam = np.zeros((bt, d, a_diag.shape[-1]), dtype=g.dtype)
-    # terms with no time recurrence, vectorized over the whole sequence
-    gp = (g[..., None] * hs).sum(axis=2)
-    gq = (g * xd).sum(axis=(0, 1))
     gx = g * qd
-    dx_prod = dd * xd
     gdelta = np.empty_like(dd)
     ga_diag = np.zeros_like(a_diag)
     gb = np.empty_like(bd)
     for t0 in reversed(range(0, length, block_len)):
         t1 = min(t0 + block_len, length)
-        dch = dd[:, t0:t1]
+        dch, xch = dd[:, t0:t1], xd[:, t0:t1]
         abar = np.exp(dch[..., None] * a_diag)
+        lam_c = g[:, t0:t1, :, None] * pd[:, t0:t1, None, :]  # becomes lam_t in place
         for i in range(t1 - t0 - 1, -1, -1):
-            t = t0 + i
-            lam += g[:, t, :, None] * pd[:, t, None, :]
-            hprev = hs[:, t - 1] if t > 0 else 0.0
-            a_t = abar[:, i]
-            grad_abar_a = lam * hprev * a_t
-            ga_diag += (grad_abar_a * dch[:, i, :, None]).sum(axis=0)
-            lam_dot_b = (lam * bd[:, t, None, :]).sum(-1)
-            gdelta[:, t] = (grad_abar_a * a_diag).sum(-1) + lam_dot_b * xd[:, t]
-            gx[:, t] += lam_dot_b * dd[:, t]
-            gb[:, t] = (lam * dx_prod[:, t, :, None]).sum(axis=1)
-            lam = lam * a_t
+            lam_c[:, i] += lam
+            lam = lam_c[:, i] * abar[:, i]
+        grad_abar_a = lam_c * states[:, t0:t1] * abar
+        ga_diag += np.einsum("bcdn,bcd->dn", grad_abar_a, dch)
+        lam_dot_b = np.einsum("bcdn,bcn->bcd", lam_c, bd[:, t0:t1])
+        gdelta[:, t0:t1] = np.einsum("bcdn,dn->bcd", grad_abar_a, a_diag) + lam_dot_b * xch
+        gx[:, t0:t1] += lam_dot_b * dch
+        gb[:, t0:t1] = np.einsum("bcdn,bcd->bcn", lam_c, dch * xch)
+    gp = np.einsum("bld,bldn->bln", g, states[:, 1:])
+    gq = (g * xd).sum(axis=(0, 1))
     return gx, gdelta, ga_diag, gb, gp, gq
 
 
@@ -236,15 +229,20 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
         raise ShapeError(f"ssm_scan: B/P must be [batch, L, {n}], got {B.shape} / {P.shape}")
     if Q.shape != (d,):
         raise ShapeError(f"ssm_scan: Q must be [{d}], got {Q.shape}")
-    keep = T.active_tape() is not None and any(
-        t.requires_grad for t in (x, delta, A, B, P, Q)
-    )
-    y, hs = _scan_forward(x.data, delta.data, A.data, B.data, P.data, Q.data,
-                          block_len, keep_states=keep)
+    xd, dd, ad, bd, pd, qd = x.data, delta.data, A.data, B.data, P.data, Q.data
+    keep = T.active_tape() is not None and any(t.requires_grad for t in (x, delta, A, B, P, Q))
+    states = np.empty((bt, length + 1, d, n), dtype=xd.dtype) if keep else None
+
+    def discretize(t0, t1):
+        dch = dd[:, t0:t1]
+        return (np.exp(dch[..., None] * ad),
+                (dch * xd[:, t0:t1])[..., None] * bd[:, t0:t1, None, :])
+
+    y, _ = _chunked_scan(xd, pd[:, :, None, :], qd, discretize, block_len, states)
 
     def rule(g):
-        gx, gdelta, ga, gb, gp, gq = _scan_backward(
-            g, x.data, delta.data, A.data, B.data, P.data, Q.data, hs, block_len)
+        gx, gdelta, ga, gb, gp, gq = _scan_backward(g, xd, dd, ad, bd, pd, qd, states,
+                                                    block_len)
         accumulate(x, gx)
         accumulate(delta, gdelta)
         accumulate(A, ga)

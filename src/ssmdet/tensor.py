@@ -30,7 +30,6 @@ __all__ = [
     "concat",
     "exp",
     "flip",
-    "log",
     "make_op",
     "maximum",
     "minimum",
@@ -219,8 +218,6 @@ class Tensor:
         return make_op(-a.data, rule, a)
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -361,13 +358,6 @@ def exp(x: Tensor) -> Tensor:
         accumulate(x, g * out_data)
 
     return make_op(out_data, rule, x)
-
-
-def log(x: Tensor) -> Tensor:
-    def rule(g):
-        accumulate(x, g / x.data)
-
-    return make_op(np.log(x.data), rule, x)
 
 
 def maximum(a: Tensor, b) -> Tensor:

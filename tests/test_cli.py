@@ -1,5 +1,8 @@
 """CLI subcommands: exit codes, summary lines, end-to-end pipeline."""
 
+import numpy as np
+import pytest
+
 from ssmdet.cli import main
 
 
@@ -90,6 +93,55 @@ def test_eval_map_on_perfect_detections(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mAP50=1.0000" in out
     assert "recall=1.0000" in out
+
+
+def test_eval_map_on_truncated_documents_exits_1(tmp_path, capsys):
+    from ssmdet import data as D
+
+    data_dir = tmp_path / "data"
+    D.gen_synthetic(3, 64, 3, seed=2, out_dir=data_dir)
+    annotations = data_dir / "annotations.txt"
+    good_dets = tmp_path / "dets.txt"
+    D.save_detections({}, good_dets)
+    cut_dets = tmp_path / "cut_dets.txt"
+    cut_dets.write_text("version 1\ncount 1\nimage images/img_00000.ppm 3\n"
+                        "det 0 0.5 1.0 2.0 3.0 4.0\n")
+    assert main(["eval-map", "--detections", str(cut_dets),
+                 "--annotations", str(annotations)]) == 1
+    lines = annotations.read_text().splitlines()
+    annotations.write_text("\n".join(lines[:4]) + "\n")
+    assert main(["eval-map", "--detections", str(good_dets),
+                 "--annotations", str(annotations)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("eval-map error: ") == 2
+    assert "cut_dets.txt line 3: image announces 3 det lines" in err
+    assert "annotations.txt line 3: image announces" in err
+
+
+@pytest.mark.parametrize("damage", ["drop", "extra"])
+def test_infer_rejects_mismatched_checkpoint(tmp_path, capsys, damage):
+    from ssmdet import data as D, tensorio
+    from ssmdet.model import Detector, get_scale
+
+    D.gen_synthetic(1, 64, 3, seed=3, out_dir=tmp_path / "data")
+    ckpt = tmp_path / "model.ckpt"
+    Detector(get_scale("n", 3, width_override=0.125)).save_checkpoint(ckpt)
+    meta, tensors = tensorio.load_checkpoint(ckpt)
+    if damage == "drop":
+        del tensors["csp3.dw.norm.gain"]
+    else:
+        tensors["extra.weight"] = np.zeros(2, dtype=np.float32)
+    tensorio.save_checkpoint(ckpt, tensors, meta)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(f"input_size = 64\nout_dir = {tmp_path / 'run'}\n")
+    assert main(["infer", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--images", str(tmp_path / "data" / "images" / "img_00000.ppm")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    want = "1 missing entries ['csp3.dw.norm.gain']" if damage == "drop" else \
+        "1 unexpected ['extra.weight']"
+    assert err.startswith("infer error: checkpoint has ") and want in err
 
 
 def test_infer_multithreaded_matches_single(tmp_path):

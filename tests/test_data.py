@@ -136,6 +136,26 @@ class TestDocuments:
         back = D.load_detections(path)
         assert back == per_image
 
+    def test_truncated_annotations_rejected(self, tmp_path):
+        D.gen_synthetic(3, 64, 3, seed=4, out_dir=tmp_path / "d")
+        path = tmp_path / "d" / "annotations.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4]) + "\n")  # first image line and one box line
+        with pytest.raises(ValueError, match="line 3: image announces"):
+            D.load_annotations(path)
+        path.write_text("\n".join(lines[:2]) + "\n")  # count line but no image
+        with pytest.raises(ValueError, match="line 2: count 3 != 0 image lines"):
+            D.load_annotations(path)
+
+    def test_truncated_detections_rejected(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        path.write_text("version 1\ncount 1\nimage a.ppm 3\ndet 0 0.5 1.0 2.0 3.0 4.0\n")
+        with pytest.raises(ValueError, match="line 3: image announces 3 det lines, 1 follow"):
+            D.load_detections(path)
+        path.write_text("version 1\ncount 1\nimage a.ppm 1\ndet 0 0.5 1.0\n")
+        with pytest.raises(ValueError, match="line 4: expected a 7-field det line"):
+            D.load_detections(path)
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("version 2\ncount 0\n")

@@ -221,7 +221,9 @@ class TestBlockedScan:
 
 
 class TestTapedScan:
-    def test_matches_sequential_oracle(self):
+    # block_len 1, an interior chunk boundary, and one chunk covering all of L
+    @pytest.mark.parametrize("block_len", [1, 4, 16])
+    def test_matches_sequential_oracle(self, block_len):
         rng = np.random.default_rng(13)
         bt, length, d, n = 3, 10, 4, 6
         x = rng.standard_normal((bt, length, d))
@@ -231,7 +233,7 @@ class TestTapedScan:
         p_seq = rng.standard_normal((bt, length, n))
         q = rng.standard_normal(d)
         y = ssm_scan(Tensor(x), Tensor(delta), Tensor(a_diag), Tensor(b_seq),
-                     Tensor(p_seq), Tensor(q), block_len=4).data
+                     Tensor(p_seq), Tensor(q), block_len=block_len).data
         for b in range(bt):
             params = SSMParams(
                 A=a_diag,
@@ -241,7 +243,8 @@ class TestTapedScan:
             ref = selective_scan_seq(x[b], params).y
             assert np.abs(y[b] - ref).max() <= 1e-12
 
-    def test_gradients_pass_finite_difference(self):
+    @pytest.mark.parametrize("block_len", [1, 4, 16])
+    def test_gradients_pass_finite_difference(self, block_len):
         rng = np.random.default_rng(14)
         bt, length, d, n = 2, 6, 3, 4
         inputs = [
@@ -252,7 +255,8 @@ class TestTapedScan:
             Tensor(rng.standard_normal((bt, length, n))),
             Tensor(rng.standard_normal(d)),
         ]
-        report = grad_check(lambda *a: ssm_scan(*a, block_len=4), inputs, tolerance=1e-4)
+        report = grad_check(lambda *a: ssm_scan(*a, block_len=block_len), inputs,
+                            tolerance=1e-4)
         assert report.passed, str(report)
 
     def test_shape_validation(self):
