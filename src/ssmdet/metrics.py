@@ -3,11 +3,14 @@
 Matching follows the usual evaluation protocol: within each class and IoU
 threshold, predictions are visited in descending score order and each one
 claims the unmatched ground truth with the highest IoU at or above the
-threshold. Precision/recall are micro-averaged at a fixed operating
-confidence (0.25 here, a local convention).
+threshold. Each (image, class) pair builds its IoU table once and matches
+it at every threshold. Precision/recall are micro-averaged at IoU 0.5 and a
+fixed operating confidence (0.25 here, a local convention).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -33,27 +36,21 @@ def iou_xyxy(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def _match_class(preds, gts, threshold: float):
+def _match_class(ious, threshold: float):
     """Greedy match of one class within one image.
 
-    ``preds`` arrive globally score-sorted; returns a TP flag per
-    prediction, in the given order.
+    ``ious[p][g]`` is the IoU of prediction p (score order) with ground
+    truth g; returns a TP flag per prediction, in the given order.
     """
-    matched = [False] * len(gts)
+    matched = set()
     flags = []
-    for box in preds:
+    for row in ious:
         best, best_iou = -1, threshold
-        for gi, gt_box in enumerate(gts):
-            if matched[gi]:
-                continue
-            iou = iou_xyxy(box, gt_box)
-            if iou >= best_iou:
+        for gi, iou in enumerate(row):
+            if gi not in matched and iou >= best_iou:
                 best, best_iou = gi, iou
-        if best >= 0:
-            matched[best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+        matched.add(best)
+        flags.append(best >= 0)
     return flags
 
 
@@ -61,8 +58,6 @@ def _average_precision(tp_flags: np.ndarray, num_gt: int) -> float:
     """101-point interpolated AP from score-ordered TP flags."""
     if num_gt == 0:
         return float("nan")
-    if tp_flags.size == 0:
-        return 0.0
     tp_cum = np.cumsum(tp_flags)
     fp_cum = np.cumsum(~tp_flags)
     recall = tp_cum / num_gt
@@ -81,45 +76,47 @@ def eval_map(predictions, ground_truth, iou_thresholds=MAP_THRESHOLDS) -> dict:
     ``ground_truth``: per-image lists of (class_id, box) pairs.
     Returns mAP50, mAP75, mAP50:95 plus precision/recall at IoU 0.5 and
     confidence 0.25. Classes without any ground truth are excluded from
-    the mAP averages.
+    the mAP averages; their confident predictions count as false positives.
     """
     if len(predictions) != len(ground_truth):
         raise ValueError(
             f"got {len(predictions)} prediction lists for {len(ground_truth)} images")
-    classes = sorted({c for gts in ground_truth for c, _ in gts})
+    num_gt = Counter(c for gts in ground_truth for c, _ in gts)
+    classes = sorted(num_gt)
+    thresholds = list(dict.fromkeys([*iou_thresholds, 0.5]))
+    keys = {cls: [] for cls in classes}            # (-score, image) per prediction
+    flags = {(thr, cls): [] for thr in thresholds for cls in classes}
+    tp = num_confident = 0
+    for img, (preds, gts) in enumerate(zip(predictions, ground_truth)):
+        for cls in {d.class_id for d in preds}:
+            cls_preds = sorted((d for d in preds if d.class_id == cls), key=lambda d: -d.score)
+            # the confident predictions are a prefix of the score order
+            confident = sum(d.score >= _PR_CONFIDENCE for d in cls_preds)
+            num_confident += confident
+            if cls not in num_gt:
+                continue
+            cls_gts = [box for c, box in gts if c == cls]
+            ious = [[iou_xyxy(d.box, g) for g in cls_gts] for d in cls_preds]
+            keys[cls].extend((-d.score, img) for d in cls_preds)
+            hit = {thr: _match_class(ious, thr) for thr in thresholds}
+            for thr in thresholds:
+                flags[(thr, cls)] += hit[thr]
+            tp += sum(hit[0.5][:confident])
+
     ap: dict[tuple, float] = {}
-    for thr in iou_thresholds:
-        for cls in classes:
-            flags: list[tuple] = []   # (score, order, tp) over all images
-            num_gt = 0
-            for img, (preds, gts) in enumerate(zip(predictions, ground_truth)):
-                cls_gts = [box for c, box in gts if c == cls]
-                num_gt += len(cls_gts)
-                cls_preds = [d for d in preds if d.class_id == cls]
-                cls_preds.sort(key=lambda d: -d.score)
-                tp = _match_class([d.box for d in cls_preds], cls_gts, thr)
-                flags.extend((d.score, img, t) for d, t in zip(cls_preds, tp))
-            flags.sort(key=lambda row: (-row[0], row[1]))
-            tp_flags = np.array([t for _, _, t in flags], dtype=bool)
-            ap[(thr, cls)] = _average_precision(tp_flags, num_gt)
+    for cls in classes:
+        order = sorted(range(len(keys[cls])), key=keys[cls].__getitem__)
+        for thr in iou_thresholds:
+            tp_flags = np.array(flags[(thr, cls)], dtype=bool)[order]
+            ap[(thr, cls)] = _average_precision(tp_flags, num_gt[cls])
 
     def mean_over(thrs) -> float:
         # plain sequential mean so results are reproducible term for term
         vals = [ap[(t, c)] for t in thrs for c in classes if not np.isnan(ap[(t, c)])]
         return sum(vals) / len(vals) if vals else 0.0
 
-    tp = fp = 0
-    total_gt = sum(len(gts) for gts in ground_truth)
-    for preds, gts in zip(predictions, ground_truth):
-        for cls in {d.class_id for d in preds}:
-            cls_preds = [d for d in preds if d.class_id == cls and d.score >= _PR_CONFIDENCE]
-            cls_preds.sort(key=lambda d: -d.score)
-            cls_gts = [box for c, box in gts if c == cls]
-            matched = _match_class([d.box for d in cls_preds], cls_gts, 0.5)
-            tp += sum(matched)
-            fp += len(matched) - sum(matched)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / total_gt if total_gt else 0.0
+    precision = tp / num_confident if num_confident else 0.0
+    recall = tp / num_gt.total() if num_gt else 0.0
 
     return {
         "mAP50": mean_over([0.5]) if 0.5 in iou_thresholds else float("nan"),

@@ -42,7 +42,8 @@ __all__ = [
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint's tensor names differ from the model's state names."""
+    """A checkpoint lacks a meta line, or its tensor names differ from the
+    model's state names."""
 
 
 # Width/depth multipliers per scale over base channels (64,...,1024); the
@@ -314,6 +315,9 @@ class Detector(Module):
     @classmethod
     def from_checkpoint(cls, path, dtype=np.float32) -> "Detector":
         meta, tensors = tensorio.load_checkpoint(path)
+        missing = [k for k in ("scale", "width", "depth", "num_classes") if k not in meta]
+        if missing:
+            raise CheckpointMismatch(f"checkpoint has no meta lines {missing}")
         spec = ScaleSpec(
             name=meta["scale"],
             width=float(meta["width"]),

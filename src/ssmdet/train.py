@@ -5,7 +5,7 @@ Each ground-truth box is assigned to exactly one cell: the cell holding
 its center at the pyramid level whose stride best matches the box size.
 Class maps train with binary cross-entropy (sum over all cells divided by
 the positive count); assigned cells add a (1 - IoU) box term on the
-decoded box.
+decoded box, evaluated over each level's whole map and masked.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ def assign_targets(batch_boxes, strides, grids, num_classes, dtype):
     Returns (cls_targets, positives) where cls_targets[level] is a
     [B, nc, h, w] array and positives are
     (level, image, i, j, class_id, gt_box) tuples. A cell takes at most
-    one ground truth; later collisions are dropped.
+    one ground truth; later collisions are dropped. A class id outside
+    [0, num_classes) raises ValueError.
     """
     nb = len(batch_boxes)
     cls_targets = [np.zeros((nb, num_classes, gh, gw), dtype=dtype) for gh, gw in grids]
@@ -84,6 +85,8 @@ def assign_targets(batch_boxes, strides, grids, num_classes, dtype):
     positives = []
     for n, boxes in enumerate(batch_boxes):
         for cls, box in boxes:
+            if not 0 <= cls < num_classes:
+                raise ValueError(f"batch image {n} has class id {cls}, outside [0, {num_classes})")
             lvl = _pick_level(box, strides)
             stride = strides[lvl]
             gh, gw = grids[lvl]
@@ -100,16 +103,15 @@ def assign_targets(batch_boxes, strides, grids, num_classes, dtype):
     return cls_targets, positives
 
 
-def _box_iou_loss(reg_map: Tensor, n: int, i: int, j: int, stride: int, gt_box):
-    """(1 - IoU) between the decoded cell box and its ground truth."""
-    d = reg_map[n, :, i, j] * float(stride)
-    cx = (j + 0.5) * stride
-    cy = (i + 0.5) * stride
-    x1 = cx - d[0]
-    y1 = cy - d[1]
-    x2 = cx + d[2]
-    y2 = cy + d[3]
-    gx1, gy1, gx2, gy2 = (float(v) for v in gt_box)
+def _box_iou_loss(reg_map: Tensor, stride: int, gt: np.ndarray):
+    """(1 - IoU) between each cell's decoded box and ``gt`` ([B, 4, h, w])."""
+    cy, cx = (np.indices(reg_map.shape[2:], dtype=reg_map.dtype) + 0.5) * stride
+    d = reg_map * float(stride)
+    x1 = -d[:, 0:1] + cx
+    y1 = -d[:, 1:2] + cy
+    x2 = d[:, 2:3] + cx
+    y2 = d[:, 3:4] + cy
+    gx1, gy1, gx2, gy2 = gt[:, 0:1], gt[:, 1:2], gt[:, 2:3], gt[:, 3:4]
     iw = T.maximum(T.minimum(x2, gx2) - T.maximum(x1, gx1), 0.0)
     ih = T.maximum(T.minimum(y2, gy2) - T.maximum(y1, gy1), 0.0)
     inter = iw * ih
@@ -123,26 +125,25 @@ def detection_loss(maps, batch_boxes, strides, num_classes: int):
     """Total, classification, and box losses for one batch.
 
     ``maps`` are the per-level (cls, reg) tensors from the detector;
-    ``batch_boxes`` is a list (per image) of (class_id, box) pairs.
+    ``batch_boxes`` is a list (per image) of (class_id, box) pairs. The box
+    term is taken over whole maps and masked to the assigned cells.
     """
     grids = [cls.shape[2:] for cls, _ in maps]
     dtype = maps[0][0].dtype
     cls_targets, positives = assign_targets(batch_boxes, strides, grids, num_classes, dtype)
     num_pos = max(len(positives), 1)
-
-    cls_loss = None
-    for (cls_map, _), target in zip(maps, cls_targets):
-        # bce_with_logits(z, t) == softplus(z) - z * t
-        term = (softplus(cls_map) - cls_map * Tensor(target)).sum()
-        cls_loss = term if cls_loss is None else cls_loss + term
-    cls_loss = cls_loss * (1.0 / num_pos)
-
-    box_loss = None
+    box_targets = [np.zeros((len(batch_boxes), 4, gh, gw), dtype=dtype) for gh, gw in grids]
     for lvl, n, i, j, _, box in positives:
-        term = _box_iou_loss(maps[lvl][1], n, i, j, strides[lvl], box)
-        box_loss = term if box_loss is None else box_loss + term
-    if box_loss is None:
-        box_loss = Tensor(np.zeros((), dtype=dtype))
+        box_targets[lvl][n, :, i, j] = box
+
+    cls_loss = box_loss = 0.0
+    for (cls_map, reg_map), stride, target, gt in zip(maps, strides, cls_targets, box_targets):
+        # bce_with_logits(z, t) == softplus(z) - z * t
+        cls_loss += (softplus(cls_map) - cls_map * Tensor(target)).sum()
+        # an assigned cell holds exactly one class target, so this is its 0/1 mask
+        mask = Tensor(target.sum(axis=1, keepdims=True))
+        box_loss += (_box_iou_loss(reg_map, stride, gt) * mask).sum()
+    cls_loss = cls_loss * (1.0 / num_pos)
     box_loss = box_loss * (1.0 / num_pos)
 
     total = cls_loss * _CLS_WEIGHT + box_loss * _BOX_WEIGHT

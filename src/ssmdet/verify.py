@@ -1,4 +1,5 @@
-"""Registry of gradient checks for every differentiable operator and block.
+"""Registry of gradient checks for every differentiable operator and block,
+and for the training loss.
 
 Each entry builds a fresh 64-bit micro instance from a seed and runs the
 central finite-difference comparison. The CLI `grad-check` subcommand and
@@ -15,6 +16,7 @@ from .gradcheck import GradCheckReport, grad_check
 from .model import Head
 from .ssm import ssm_scan
 from .tensor import Tensor
+from .train import assign_targets, detection_loss
 
 __all__ = ["GRAD_CHECKS", "run_grad_suite"]
 
@@ -169,6 +171,27 @@ def _check_eca_conv_block(seed, **kw):
                       _block_inputs(m, x, ["eca.weight", "norm.gain"]), **kw)
 
 
+def _check_detection_loss(seed, **kw):
+    rng = np.random.default_rng(seed)
+    strides, grids = (8, 16, 32), ((4, 4), (2, 2), (1, 1))
+    # boxes ~4 strides wide: one per level in image 0, one in image 1
+    batch = [[(0, (2.0, 3.0, 33.0, 31.0)), (1, (-20.0, -14.0, 44.0, 50.0)),
+              (1, (-48.0, -52.0, 80.0, 76.0))],
+             [(1, (10.0, 12.0, 42.0, 40.0))]]
+    cls_maps = [rng.standard_normal((2, 2, gh, gw)) for gh, gw in grids]
+    reg_maps = [rng.uniform(0.2, 2.0, (2, 4, gh, gw)) for gh, gw in grids]
+    # each decoded edge sits 0.05-0.5 px off its ground-truth edge, so no
+    # finite-difference step crosses a min/max kink of the IoU
+    for lvl, n, i, j, _, (x1, y1, x2, y2) in assign_targets(batch, strides, grids, 2, _F64)[1]:
+        cx, cy = (j + 0.5) * strides[lvl], (i + 0.5) * strides[lvl]
+        off = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.05, 0.5, 4)
+        reg_maps[lvl][n, :, i, j] = (np.array([cx - x1, cy - y1, x2 - cx, y2 - cy]) + off) / strides[lvl]
+    inputs = [Tensor(m) for pair in zip(cls_maps, reg_maps) for m in pair]
+    return grad_check(
+        lambda *a: detection_loss(list(zip(a[0::2], a[1::2])), batch, strides, 2)[0],
+        inputs, **kw)
+
+
 GRAD_CHECKS = {
     "conv2d": _check_conv2d,
     "conv2d_depthwise": _check_conv2d_depthwise,
@@ -187,6 +210,7 @@ GRAD_CHECKS = {
     "vss": _check_vss,
     "simvss": _check_simvss,
     "head": _check_head,
+    "detection_loss": _check_detection_loss,
 }
 
 

@@ -215,6 +215,63 @@ def eval_map_bruteforce(predictions, ground_truth, iou_thresholds):
     }
 
 
+def detection_loss_scalar(cls_maps, reg_maps, batch_boxes, strides):
+    """Per-positive reference of the training loss.
+
+    Assigns each box to the center cell of the level whose stride is
+    closest to a quarter of the box size (first box wins a cell), sums the
+    logistic loss over every class logit and a (1 - IoU) term per assigned
+    cell, both divided by the positive count. Returns (total, cls, box)
+    with total = cls + 2.5 * box.
+    """
+    positives = []
+    taken = []
+    for n, boxes in enumerate(batch_boxes):
+        for cls, box in boxes:
+            size = math.sqrt(max((box[2] - box[0]) * (box[3] - box[1]), 1e-9))
+            lvl = 0
+            for k in range(1, len(strides)):
+                if abs(math.log2(size / (4.0 * strides[k]))) < \
+                        abs(math.log2(size / (4.0 * strides[lvl]))):
+                    lvl = k
+            stride = strides[lvl]
+            gh, gw = cls_maps[lvl].shape[2:]
+            j = min(max(int(0.5 * (box[0] + box[2]) / stride), 0), gw - 1)
+            i = min(max(int(0.5 * (box[1] + box[3]) / stride), 0), gh - 1)
+            if (lvl, n, i, j) not in taken:
+                taken.append((lvl, n, i, j))
+                positives.append((lvl, n, i, j, cls, box))
+    num_pos = max(len(positives), 1)
+
+    cls_sum = 0.0
+    for lvl, cls_map in enumerate(cls_maps):
+        b, c, h, w = cls_map.shape
+        for n in range(b):
+            for k in range(c):
+                for i in range(h):
+                    for j in range(w):
+                        z = float(cls_map[n, k, i, j])
+                        t = 1.0 if any(p[:4] == (lvl, n, i, j) and p[4] == k
+                                       for p in positives) else 0.0
+                        cls_sum += max(z, 0.0) + math.log1p(math.exp(-abs(z))) - z * t
+
+    box_sum = 0.0
+    for lvl, n, i, j, _, gt in positives:
+        stride = strides[lvl]
+        cx, cy = (j + 0.5) * stride, (i + 0.5) * stride
+        d = [float(reg_maps[lvl][n, k, i, j]) * stride for k in range(4)]
+        pred = (cx - d[0], cy - d[1], cx + d[2], cy + d[3])
+        iw = max(min(pred[2], gt[2]) - max(pred[0], gt[0]), 0.0)
+        ih = max(min(pred[3], gt[3]) - max(pred[1], gt[1]), 0.0)
+        inter = iw * ih
+        union = (pred[2] - pred[0]) * (pred[3] - pred[1]) + \
+            (gt[2] - gt[0]) * (gt[3] - gt[1]) - inter
+        box_sum += 1.0 - inter / (union + 1e-9)
+
+    cls_loss, box_loss = cls_sum / num_pos, box_sum / num_pos
+    return cls_loss + 2.5 * box_loss, cls_loss, box_loss
+
+
 def random_detections(rng, n_images, max_boxes, n_classes, frame=100.0):
     """Random prediction/ground-truth pairs for oracle comparisons."""
     from ssmdet.model import Detection

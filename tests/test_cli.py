@@ -119,7 +119,7 @@ def test_eval_map_on_truncated_documents_exits_1(tmp_path, capsys):
     assert "annotations.txt line 3: image announces" in err
 
 
-@pytest.mark.parametrize("damage", ["drop", "extra"])
+@pytest.mark.parametrize("damage", ["drop", "extra", "meta"])
 def test_infer_rejects_mismatched_checkpoint(tmp_path, capsys, damage):
     from ssmdet import data as D, tensorio
     from ssmdet.model import Detector, get_scale
@@ -130,8 +130,10 @@ def test_infer_rejects_mismatched_checkpoint(tmp_path, capsys, damage):
     meta, tensors = tensorio.load_checkpoint(ckpt)
     if damage == "drop":
         del tensors["csp3.dw.norm.gain"]
-    else:
+    elif damage == "extra":
         tensors["extra.weight"] = np.zeros(2, dtype=np.float32)
+    else:
+        del meta["scale"]
     tensorio.save_checkpoint(ckpt, tensors, meta)
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(f"input_size = 64\nout_dir = {tmp_path / 'run'}\n")
@@ -139,9 +141,40 @@ def test_infer_rejects_mismatched_checkpoint(tmp_path, capsys, damage):
                  "--images", str(tmp_path / "data" / "images" / "img_00000.ppm")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    want = "1 missing entries ['csp3.dw.norm.gain']" if damage == "drop" else \
-        "1 unexpected ['extra.weight']"
+    want = {"drop": "1 missing entries ['csp3.dw.norm.gain']",
+            "extra": "1 unexpected ['extra.weight']",
+            "meta": "no meta lines ['scale']"}[damage]
     assert err.startswith("infer error: checkpoint has ") and want in err
+
+
+@pytest.mark.parametrize("bad_class", ["5-classes", "negative"])
+def test_train_toy_rejects_out_of_range_class_ids(tmp_path, capsys, bad_class):
+    data_dir = tmp_path / "data"
+    classes = "5" if bad_class == "5-classes" else "3"
+    assert main(["gen-synthetic", "--out", str(data_dir), "--count", "4",
+                 "--image-size", "64", "--classes", classes, "--seed", "1"]) == 0
+    annotations = data_dir / "annotations.txt"
+    lines = annotations.read_text().splitlines()
+    box_ids = [int(line.split()[1]) for line in lines if line.startswith("box ")]
+    if bad_class == "5-classes":
+        assert max(box_ids) >= 3
+    else:
+        first = next(i for i, line in enumerate(lines) if line.startswith("box "))
+        lines[first] = "box -1 " + lines[first].split(" ", 2)[2]
+        annotations.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("scale = n\nwidth_override = 0.125\ninput_size = 64\n"
+                   "batch_size = 4\nepochs = 1\nnum_classes = 3\nseed = 0\n"
+                   f"out_dir = {tmp_path / 'run'}\n")
+    capsys.readouterr()
+    assert main(["train-toy", "--config", str(cfg), "--data", str(data_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("train-toy error: batch image ")
+    want = "class id -1," if bad_class == "negative" else "outside [0, 3)"
+    assert want in err[0]
 
 
 def test_infer_multithreaded_matches_single(tmp_path):

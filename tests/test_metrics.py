@@ -56,12 +56,20 @@ class TestEvalMap:
         with pytest.raises(ValueError):
             eval_map([[]], [[], []])
 
-    def test_matches_bruteforce_oracle_on_small_instances(self):
+    @pytest.mark.parametrize("scores", ["raw", "quarters"])
+    @pytest.mark.parametrize("thresholds", [MAP_THRESHOLDS, (0.75,), (0.5,)],
+                             ids=["50to95", "75", "50"])
+    def test_matches_bruteforce_oracle_on_small_instances(self, thresholds, scores):
         rng = np.random.default_rng(0)
+        keys = ["mAP50:95", "precision", "recall"]
+        keys += [k for k, t in (("mAP50", 0.5), ("mAP75", 0.75)) if t in thresholds]
         for case in range(40):
             preds, gts = random_detections(rng, n_images=int(rng.integers(1, 4)),
                                            max_boxes=4, n_classes=3)
-            got = eval_map(preds, gts)
-            want = eval_map_bruteforce(preds, gts, MAP_THRESHOLDS)
-            for key in ("mAP50", "mAP75", "mAP50:95", "precision", "recall"):
+            if scores == "quarters":   # ties, and scores exactly at the 0.25 cut
+                for d in (d for dets in preds for d in dets):
+                    d.score = round(d.score * 4.0) / 4.0
+            got = eval_map(preds, gts, thresholds)
+            want = eval_map_bruteforce(preds, gts, thresholds)
+            for key in keys:
                 assert got[key] == pytest.approx(want[key], abs=0.0), (case, key)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles import detection_loss_scalar
 from ssmdet.config import RunConfig
 from ssmdet.model import Detector, get_scale
+from ssmdet.tensor import Tensor, set_debug_checks
 from ssmdet.train import (
     SgdMomentum,
     TrainingDiverged,
     assign_targets,
+    detection_loss,
     lr_at,
     train_toy,
 )
@@ -73,6 +76,56 @@ class TestAssignment:
             [[(0, box), (1, box)]], (8, 16, 32), grids, 3, np.float32)
         assert len(positives) == 1
         assert positives[0][4] == 0
+
+
+class TestDetectionLoss:
+    STRIDES = (8, 16, 32)
+    # image 0: a stride-8 box, a second box on its cell (dropped) and a
+    # stride-16 box; image 1: no boxes; image 2: a small stride-8 box.
+    # Nothing lands on the stride-32 level.
+    BATCH = [[(0, (10.0, 10.0, 42.0, 42.0)), (1, (10.0, 10.0, 42.0, 42.0)),
+              (2, (2.0, 4.0, 58.0, 60.0))],
+             [],
+             [(1, (30.0, 20.0, 50.0, 44.0))]]
+
+    @pytest.fixture(autouse=True)
+    def debug_checks(self):
+        set_debug_checks(True)
+        yield
+        set_debug_checks(False)
+
+    def _maps(self, seed):
+        rng = np.random.default_rng(seed)
+        cls_maps, reg_maps = [], []
+        for s in self.STRIDES:
+            g = 64 // s
+            cls_maps.append(rng.normal(0.0, 2.0, (3, 3, g, g)))
+            reg_maps.append(rng.uniform(0.05, 3.0, (3, 4, g, g)))
+        reg_maps[2][:] = 0.0   # empty predicted boxes on a level without positives
+        return cls_maps, reg_maps
+
+    def _loss(self, cls_maps, reg_maps, batch):
+        maps = [(Tensor(c), Tensor(r)) for c, r in zip(cls_maps, reg_maps)]
+        total, cls_val, box_val = detection_loss(maps, batch, self.STRIDES, 3)
+        return total.item(), cls_val, box_val
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_reference(self, seed):
+        cls_maps, reg_maps = self._maps(seed)
+        got = self._loss(cls_maps, reg_maps, self.BATCH)
+        want = detection_loss_scalar(cls_maps, reg_maps, self.BATCH, self.STRIDES)
+        assert want[2] > 0.0
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    def test_batch_without_boxes_has_zero_box_term(self):
+        cls_maps, reg_maps = self._maps(3)
+        batch = [[], [], []]
+        total, cls_val, box_val = self._loss(cls_maps, reg_maps, batch)
+        want = detection_loss_scalar(cls_maps, reg_maps, batch, self.STRIDES)
+        assert box_val == 0.0 and want[2] == 0.0
+        assert cls_val == pytest.approx(want[1], rel=1e-12, abs=0.0)
+        assert total == cls_val
 
 
 class TestOptimizer:
