@@ -44,12 +44,15 @@ def _match_class(ious, threshold: float):
     """
     matched = set()
     flags = []
-    for row in ious:
+    for p, row in enumerate(ious):
+        if len(matched) == len(row):    # every ground truth is claimed
+            return flags + [False] * (len(ious) - p)
         best, best_iou = -1, threshold
         for gi, iou in enumerate(row):
             if gi not in matched and iou >= best_iou:
                 best, best_iou = gi, iou
-        matched.add(best)
+        if best >= 0:
+            matched.add(best)
         flags.append(best >= 0)
     return flags
 
@@ -62,11 +65,11 @@ def _average_precision(tp_flags: np.ndarray, num_gt: int) -> float:
     fp_cum = np.cumsum(~tp_flags)
     recall = tp_cum / num_gt
     precision = tp_cum / (tp_cum + fp_cum)
-    ap = 0.0
-    for r in _RECALL_GRID:
-        mask = recall >= r - 1e-12
-        ap += precision[mask].max() if mask.any() else 0.0
-    return ap / _RECALL_GRID.size
+    # recall never decreases, so the best precision at recall >= r is a
+    # suffix maximum, read at the first index that reaches r (0 past the end)
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    terms = best[np.searchsorted(recall, _RECALL_GRID - 1e-12)]
+    return np.cumsum(terms)[-1] / _RECALL_GRID.size   # summed in grid order
 
 
 def eval_map(predictions, ground_truth, iou_thresholds=MAP_THRESHOLDS) -> dict:

@@ -1,8 +1,9 @@
 """Neural-network operators on :class:`~ssmdet.tensor.Tensor`.
 
-Convolutions run as im2col-style strided windows contracted with einsum;
-tests hold them to a direct nested-loop oracle, so the fast path must stay
-semantically identical. Convolution is cross-correlation (no kernel flip).
+A convolution is a sum over its kernel's taps: each tap's weight slice
+multiplies the shifted input window it reads, one matmul per tap for every
+kind of conv (dense, grouped, depthwise, 1x1, strided). Tests hold it to a
+direct nested-loop oracle. Convolution is cross-correlation (no kernel flip).
 Normalizations are built from taped primitives, so their backward rules
 come for free.
 """
@@ -10,7 +11,6 @@ come for free.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, Tensor, accumulate, concat, make_op
 
@@ -32,12 +32,8 @@ __all__ = [
 
 
 def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # tanh saturates instead of overflowing, and keeps the input's dtype
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -70,10 +66,6 @@ def softplus(x: Tensor) -> Tensor:
 
 # ---- convolution ----------------------------------------------------------
 
-def _conv_out_len(n: int, k: int, stride: int, pad: int) -> int:
-    return (n + 2 * pad - k) // stride + 1
-
-
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2D cross-correlation, NCHW in, [C_out, C_in/groups, kh, kw] kernel."""
@@ -97,58 +89,58 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if x.data.dtype != w.data.dtype:
         raise ShapeError(f"conv2d: dtype mismatch {x.data.dtype} vs {w.data.dtype}")
 
-    ho, wo = _conv_out_len(h, kh, stride, padding), _conv_out_len(wd, kw, stride, padding)
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     og = c_out // groups
+    taps = [(ki, kj) for ki in range(kh) for kj in range(kw)]
+    # [groups, c_g, hp, wp, n]: a tap is one matmul per group over every output
+    # position; the output and input gradient keep this batch-innermost order.
+    # 32-bit inputs accumulate in float64 and round once at the end, within
+    # 1e-6 of the nested-loop oracle.
+    xp = np.zeros((groups, c_g, hp, wp, n))
+    xp[:, :, padding:padding + h, padding:padding + wd] = \
+        x.data.reshape(n, groups, c_g, h, wd).transpose(1, 2, 3, 4, 0)
+    wmat = w.data.astype(np.float64).reshape(groups, og, c_g, kh * kw)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else np.ascontiguousarray(x.data)
-    sn, sc, sh, sw = xp.strides
-    win = as_strided(
-        xp.reshape(n, groups, c_g, hp, wp),
-        shape=(n, groups, c_g, ho, wo, kh, kw),
-        strides=(sn, sc * c_g, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    # im2col onto a BLAS-friendly layout: [groups, n*ho*wo, c_g*kh*kw].
-    # 32-bit inputs accumulate in float64 and round once at the end, so the
-    # fast path stays within 1e-6 of the nested-loop oracle.
-    acc_dtype = np.float64
-    col = win.transpose(1, 0, 3, 4, 2, 5, 6).astype(acc_dtype).reshape(
-        groups, n * ho * wo, c_g * kh * kw)
-    wmat = w.data.reshape(groups, og, c_g * kh * kw)
-    out = np.matmul(col, wmat.transpose(0, 2, 1).astype(acc_dtype))
-    out = np.ascontiguousarray(
-        out.reshape(groups, n, ho, wo, og).transpose(1, 0, 4, 2, 3)
-    ).reshape(n, c_out, ho, wo)
+    def window(a, ki, kj):
+        """The [groups, c, ho, wo, n] part of ``a`` that tap (ki, kj) reads."""
+        return a[:, :, ki:ki + stride * (ho - 1) + 1:stride, kj:kj + stride * (wo - 1) + 1:stride]
+
+    def tap_input(ki, kj):
+        return window(xp, ki, kj).reshape(groups, c_g, ho * wo * n)
+
+    out = np.zeros((groups, og, ho * wo * n))
+    for k, (ki, kj) in enumerate(taps):
+        out += wmat[..., k] @ tap_input(ki, kj)
+    out = out.reshape(c_out, ho, wo, n).transpose(3, 0, 1, 2)
     if bias is not None:
         out += bias.data.reshape(1, c_out, 1, 1)
     out = out.astype(x.data.dtype)
 
     def rule(g):
-        gmat = np.ascontiguousarray(
-            g.reshape(n, groups, og, ho, wo).transpose(1, 0, 3, 4, 2)
-        ).reshape(groups, n * ho * wo, og)
         if bias is not None:
             accumulate(bias, g.sum(axis=(0, 2, 3)))
+        g = g.transpose(1, 2, 3, 0).reshape(groups, og, ho * wo * n)
         if w.requires_grad:
-            gw = np.matmul(gmat.transpose(0, 2, 1).astype(col.dtype), col)
+            g64 = g.astype(np.float64)
+            gw = np.empty((groups, og, c_g, kh * kw))
+            for k, (ki, kj) in enumerate(taps):
+                gw[..., k] = g64 @ tap_input(ki, kj).transpose(0, 2, 1)
             accumulate(w, gw.reshape(w.data.shape).astype(w.data.dtype))
         if x.requires_grad:
-            dcol = np.matmul(gmat, wmat).reshape(groups, n, ho, wo, c_g, kh, kw)
-            gxp = np.zeros((n, groups, c_g, hp, wp), dtype=g.dtype)
-            for ki in range(kh):
-                for kj in range(kw):
-                    gxp[:, :, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += \
-                        dcol[:, :, :, :, :, ki, kj].transpose(1, 0, 4, 2, 3)
-            gx = gxp.reshape(n, c_in, hp, wp)
-            if padding:
-                gx = gx[:, :, padding:padding + h, padding:padding + wd]
-            accumulate(x, gx)
+            # every tap's w_k^T @ g in one matmul, each added into its window, in
+            # the gradient's dtype (in float64 these passes cost the most)
+            gtaps = (w.data.reshape(groups, og, c_g * kh * kw).transpose(0, 2, 1) @ g) \
+                .reshape(groups, c_g, kh * kw, ho, wo, n)
+            gxp = np.zeros(xp.shape, dtype=g.dtype)
+            for k, (ki, kj) in enumerate(taps):
+                window(gxp, ki, kj)[...] += gtaps[:, :, k]
+            gx = gxp[:, :, padding:padding + h, padding:padding + wd].reshape(c_in, h, wd, n)
+            accumulate(x, gx.transpose(3, 0, 1, 2))
 
     return make_op(out, rule, x, w, bias)
 
 
-def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv1d(x: Tensor, w: Tensor) -> Tensor:
     """Length-preserving 1D cross-correlation over [N, 1, L] with odd kernel."""
     if x.ndim != 3 or x.shape[1] != 1:
         raise ShapeError(f"conv1d: input must be [batch, 1, length], got {x.shape}")
@@ -159,27 +151,26 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
     n, _, length = x.shape
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    s0, _, s2 = xp.strides
-    win = as_strided(xp, shape=(n, length, k), strides=(s0, s2, s2), writeable=False)
-    out = (win.astype(np.float64) @ w.data[0, 0].astype(np.float64)) \
-        .reshape(n, 1, length).astype(x.data.dtype)
-    if bias is not None:
-        out = out + bias.data.reshape(1, 1, 1)
+    xp = np.zeros((n, length + 2 * pad))
+    xp[:, pad:pad + length] = x.data[:, 0]
+    wk = w.data[0, 0].astype(np.float64)
+    out = np.zeros((n, length))
+    for j in range(k):
+        out += wk[j] * xp[:, j:j + length]
+    out = out.reshape(n, 1, length).astype(x.data.dtype)
 
     def rule(g):
-        gl = g.reshape(n, length)
-        if bias is not None:
-            accumulate(bias, gl.sum(keepdims=True).reshape(1))
+        g = g.reshape(n, length)
         if w.requires_grad:
-            accumulate(w, (gl[:, :, None] * win).sum(axis=(0, 1)).reshape(1, 1, k))
+            gw = [np.sum(g * xp[:, j:j + length]) for j in range(k)]   # float64: xp is
+            accumulate(w, np.array(gw).reshape(1, 1, k).astype(w.data.dtype))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(xp.shape, dtype=g.dtype)
             for j in range(k):
-                gxp[:, 0, j:j + length] += gl * w.data[0, 0, j]
-            accumulate(x, gxp[:, :, pad:pad + length])
+                gxp[:, j:j + length] += w.data[0, 0, j] * g
+            accumulate(x, gxp[:, None, pad:pad + length])
 
-    return make_op(out, rule, x, w, bias)
+    return make_op(out, rule, x, w)
 
 
 # ---- normalization --------------------------------------------------------

@@ -153,11 +153,16 @@ def detection_loss(maps, batch_boxes, strides, num_classes: int):
 def train_toy(model: Detector, dataset, cfg: RunConfig, write_outputs: bool = True):
     """Overfit-scale training loop; returns one record per epoch.
 
-    ``dataset`` is a list of (image [3,H,W] float array, boxes) pairs.
-    Aborts with :class:`TrainingDiverged` if the loss goes non-finite.
+    ``dataset`` is a list of (image [3,H,W] float array, boxes) pairs; a
+    class id outside [0, num_classes) raises ValueError. Aborts with
+    :class:`TrainingDiverged` if the loss goes non-finite.
     """
     if not dataset:
         raise ValueError("train_toy: empty dataset")
+    for k, (_, boxes) in enumerate(dataset):
+        bad = [cls for cls, _ in boxes if not 0 <= cls < cfg.num_classes]
+        if bad:
+            raise ValueError(f"dataset image {k} has class id {bad[0]}, outside [0, {cfg.num_classes})")
     model.train()
     opt = SgdMomentum(model.parameters(), cfg.momentum)
     rng = np.random.default_rng(cfg.seed)

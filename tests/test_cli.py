@@ -159,9 +159,14 @@ def test_train_toy_rejects_out_of_range_class_ids(tmp_path, capsys, bad_class):
     if bad_class == "5-classes":
         assert max(box_ids) >= 3
     else:
-        first = next(i for i, line in enumerate(lines) if line.startswith("box "))
-        lines[first] = "box -1 " + lines[first].split(" ", 2)[2]
+        last = max(i for i, line in enumerate(lines) if line.startswith("box "))
+        lines[last] = "box -1 " + lines[last].split(" ", 2)[2]
         annotations.write_text("\n".join(lines) + "\n")
+    # index, in annotation order, of the first image that holds a bad id
+    images = [line for line in lines if line.startswith(("image ", "box "))]
+    bad_line = next(i for i, line in enumerate(images)
+                    if line.startswith("box ") and not 0 <= int(line.split()[1]) < 3)
+    bad_image = sum(line.startswith("image ") for line in images[:bad_line]) - 1
     cfg = tmp_path / "toy.cfg"
     cfg.write_text("scale = n\nwidth_override = 0.125\ninput_size = 64\n"
                    "batch_size = 4\nepochs = 1\nnum_classes = 3\nseed = 0\n"
@@ -172,7 +177,7 @@ def test_train_toy_rejects_out_of_range_class_ids(tmp_path, capsys, bad_class):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("train-toy error: batch image ")
+    assert len(err) == 1 and err[0].startswith(f"train-toy error: dataset image {bad_image} has ")
     want = "class id -1," if bad_class == "negative" else "outside [0, 3)"
     assert want in err[0]
 

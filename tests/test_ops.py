@@ -11,6 +11,17 @@ from ssmdet.gradcheck import grad_check
 from ssmdet.tensor import ShapeError, Tape, Tensor
 
 
+# (stride, padding, groups, kernel) on a [2, 4, 7, 6] input: dense, grouped,
+# depthwise (groups = C) and strided, with 3x3 and 1x1 kernels. At stride 2
+# the width leaves a remainder, (6 + 2 - k) % 2 == 1. The 3x3 ids predate
+# the kernel parameter.
+CONV_CASES = [
+    pytest.param(s, p, g, k, id=f"{s}-{p}-{g}" if k == 3 else f"{s}-{p}-{g}-k{k}")
+    for k in (3, 1)
+    for s, p, g in [(1, 0, 1), (2, 1, 1), (1, 1, 2), (1, 1, 4), (2, 1, 2), (2, 1, 4)]
+]
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.arange(9.0, dtype=np.float32).reshape(1, 1, 3, 3))
@@ -31,14 +42,24 @@ class TestConv2d:
         want = conv2d_loops(x, w, b, stride=1, padding=1).astype(np.float32)
         assert np.abs(got - want).max() <= 1e-6
 
-    @pytest.mark.parametrize("stride,padding,groups", [(1, 0, 1), (2, 1, 1), (1, 1, 2), (1, 1, 4)])
-    def test_matches_loop_oracle_f64(self, stride, padding, groups):
+    @pytest.mark.parametrize("stride,padding,groups,kernel", CONV_CASES)
+    def test_matches_loop_oracle_f64(self, stride, padding, groups, kernel):
         rng = np.random.default_rng(stride * 7 + padding * 3 + groups)
         x = rng.standard_normal((2, 4, 7, 6))
-        w = rng.standard_normal((4, 4 // groups, 3, 3))
+        w = rng.standard_normal((4, 4 // groups, kernel, kernel))
         got = ops.conv2d(Tensor(x), Tensor(w), None, stride, padding, groups).data
         want = conv2d_loops(x, w, None, stride, padding, groups)
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("stride,padding,groups,kernel", CONV_CASES)
+    def test_gradient_matches_finite_difference(self, stride, padding, groups, kernel):
+        rng = np.random.default_rng(stride * 7 + padding * 3 + groups + kernel)
+        x = Tensor(rng.standard_normal((2, 4, 7, 6)))
+        w = Tensor(rng.standard_normal((4, 4 // groups, kernel, kernel)))
+        b = Tensor(rng.standard_normal(4))
+        report = grad_check(lambda *a: ops.conv2d(*a, stride, padding, groups),
+                            [x, w, b], tolerance=1e-4)
+        assert report.passed, str(report)
 
     def test_depthwise_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -167,6 +188,18 @@ class TestActivations:
         x = np.array([-20.0, 20.0])
         got = ops.softplus(Tensor(x)).data
         assert np.abs(got - np.maximum(x, 0.0)).max() <= 1e-8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["sigmoid", "silu", "softplus"])
+    def test_saturated_inputs_stay_finite(self, name, dtype):
+        with np.errstate(over="raise"):
+            with Tape() as tape:
+                x = Tensor(np.array([-1000.0, 1000.0], dtype=dtype), requires_grad=True)
+                y = getattr(ops, name)(x)
+                loss = y.sum()
+            tape.backward(loss)
+        assert y.data.dtype == dtype and x.grad.dtype == dtype
+        assert np.isfinite(y.data).all() and np.isfinite(x.grad).all()
 
 
 class TestPoolAndLayout:
