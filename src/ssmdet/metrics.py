@@ -36,25 +36,23 @@ def iou_xyxy(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def _match_class(ious, threshold: float):
+def _match_class(ious: np.ndarray, threshold: float):
     """Greedy match of one class within one image.
 
-    ``ious[p][g]`` is the IoU of prediction p (score order) with ground
+    ``ious[p, g]`` is the IoU of prediction p (score order) with ground
     truth g; returns a TP flag per prediction, in the given order.
     """
-    matched = set()
-    flags = []
-    for p, row in enumerate(ious):
-        if len(matched) == len(row):    # every ground truth is claimed
-            return flags + [False] * (len(ious) - p)
-        best, best_iou = -1, threshold
-        for gi, iou in enumerate(row):
-            if gi not in matched and iou >= best_iou:
-                best, best_iou = gi, iou
-        if best >= 0:
-            matched.add(best)
-        flags.append(best >= 0)
-    return flags
+    free = np.ones(ious.shape[1], dtype=bool)
+    flags = np.zeros(len(ious), dtype=bool)
+    reach = ious >= threshold
+    for p in np.flatnonzero(reach.any(axis=1)):
+        row = np.where(free & reach[p], ious[p], -np.inf)
+        best = row.size - 1 - np.argmax(row[::-1])    # the last of equal IoUs
+        if row[best] > -np.inf:
+            flags[p], free[best] = True, False
+            if not free.any():                        # every ground truth is claimed
+                break
+    return flags.tolist()
 
 
 def _average_precision(tp_flags: np.ndarray, num_gt: int) -> float:
@@ -99,7 +97,8 @@ def eval_map(predictions, ground_truth, iou_thresholds=MAP_THRESHOLDS) -> dict:
             if cls not in num_gt:
                 continue
             cls_gts = [box for c, box in gts if c == cls]
-            ious = [[iou_xyxy(d.box, g) for g in cls_gts] for d in cls_preds]
+            ious = np.array([[iou_xyxy(d.box, g) for g in cls_gts] for d in cls_preds])
+            ious = ious.reshape(len(cls_preds), len(cls_gts))
             keys[cls].extend((-d.score, img) for d in cls_preds)
             hit = {thr: _match_class(ious, thr) for thr in thresholds}
             for thr in thresholds:

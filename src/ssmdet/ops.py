@@ -95,22 +95,28 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     # [groups, c_g, hp, wp, n]: a tap is one matmul per group over every output
     # position; the output and input gradient keep this batch-innermost order.
     # 32-bit inputs accumulate in float64 and round once at the end, within
-    # 1e-6 of the nested-loop oracle.
-    xp = np.zeros((groups, c_g, hp, wp, n))
-    xp[:, :, padding:padding + h, padding:padding + wd] = \
-        x.data.reshape(n, groups, c_g, h, wd).transpose(1, 2, 3, 4, 0)
-    wmat = w.data.astype(np.float64).reshape(groups, og, c_g, kh * kw)
+    # 1e-6 of the nested-loop oracle. The padded float64 copy is not kept for
+    # backward: the weight gradient rebuilds it from x.data.
+    padded_shape = (groups, c_g, hp, wp, n)
+
+    def padded():
+        xp = np.zeros(padded_shape)
+        xp[:, :, padding:padding + h, padding:padding + wd] = \
+            x.data.reshape(n, groups, c_g, h, wd).transpose(1, 2, 3, 4, 0)
+        return xp
 
     def window(a, ki, kj):
         """The [groups, c, ho, wo, n] part of ``a`` that tap (ki, kj) reads."""
         return a[:, :, ki:ki + stride * (ho - 1) + 1:stride, kj:kj + stride * (wo - 1) + 1:stride]
 
-    def tap_input(ki, kj):
+    def tap_input(xp, ki, kj):
         return window(xp, ki, kj).reshape(groups, c_g, ho * wo * n)
 
+    xp = padded()
+    wmat = w.data.astype(np.float64).reshape(groups, og, c_g, kh * kw)
     out = np.zeros((groups, og, ho * wo * n))
     for k, (ki, kj) in enumerate(taps):
-        out += wmat[..., k] @ tap_input(ki, kj)
+        out += wmat[..., k] @ tap_input(xp, ki, kj)
     out = out.reshape(c_out, ho, wo, n).transpose(3, 0, 1, 2)
     if bias is not None:
         out += bias.data.reshape(1, c_out, 1, 1)
@@ -121,17 +127,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             accumulate(bias, g.sum(axis=(0, 2, 3)))
         g = g.transpose(1, 2, 3, 0).reshape(groups, og, ho * wo * n)
         if w.requires_grad:
-            g64 = g.astype(np.float64)
+            g64, xp = g.astype(np.float64), padded()
             gw = np.empty((groups, og, c_g, kh * kw))
             for k, (ki, kj) in enumerate(taps):
-                gw[..., k] = g64 @ tap_input(ki, kj).transpose(0, 2, 1)
+                gw[..., k] = g64 @ tap_input(xp, ki, kj).transpose(0, 2, 1)
             accumulate(w, gw.reshape(w.data.shape).astype(w.data.dtype))
         if x.requires_grad:
             # every tap's w_k^T @ g in one matmul, each added into its window, in
             # the gradient's dtype (in float64 these passes cost the most)
             gtaps = (w.data.reshape(groups, og, c_g * kh * kw).transpose(0, 2, 1) @ g) \
                 .reshape(groups, c_g, kh * kw, ho, wo, n)
-            gxp = np.zeros(xp.shape, dtype=g.dtype)
+            gxp = np.zeros(padded_shape, dtype=g.dtype)
             for k, (ki, kj) in enumerate(taps):
                 window(gxp, ki, kj)[...] += gtaps[:, :, k]
             gx = gxp[:, :, padding:padding + h, padding:padding + wd].reshape(c_in, h, wd, n)
@@ -151,8 +157,11 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
     n, _, length = x.shape
     pad = k // 2
-    xp = np.zeros((n, length + 2 * pad))
-    xp[:, pad:pad + length] = x.data[:, 0]
+
+    def padded():     # float64; backward rebuilds it from x.data rather than keep it
+        return np.pad(x.data[:, 0], ((0, 0), (pad, pad))).astype(np.float64)
+
+    xp = padded()
     wk = w.data[0, 0].astype(np.float64)
     out = np.zeros((n, length))
     for j in range(k):
@@ -162,10 +171,11 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
     def rule(g):
         g = g.reshape(n, length)
         if w.requires_grad:
+            xp = padded()
             gw = [np.sum(g * xp[:, j:j + length]) for j in range(k)]   # float64: xp is
             accumulate(w, np.array(gw).reshape(1, 1, k).astype(w.data.dtype))
         if x.requires_grad:
-            gxp = np.zeros(xp.shape, dtype=g.dtype)
+            gxp = np.zeros((n, length + 2 * pad), dtype=g.dtype)
             for j in range(k):
                 gxp[:, j:j + length] += w.data[0, 0, j] * g
             accumulate(x, gxp[:, None, pad:pad + length])

@@ -8,10 +8,18 @@ a per-channel timescale delta and evaluated as the recurrence
 with h_0 = 0. ``selective_scan_seq`` is the transparent step-by-step
 reference and the oracle. One chunked core discretizes and contracts a
 chunk at a time while carrying the state across chunks; its two callers
-differ only in the discretization: ``selective_scan_blocked`` (one
-sequence, per-channel B, ZOH or first-order) and ``ssm_scan`` (taped and
-batched, B and P shared over channels, used inside the vision blocks).
-Both must match the reference within dtype tolerance on every instance.
+differ only in the discretization and the P contraction:
+``selective_scan_blocked`` (one sequence, per-channel B and P, ZOH or
+first-order) and ``ssm_scan`` (taped and batched, B and P shared over
+channels, used inside the vision blocks). Both must match the reference
+within dtype tolerance on every instance.
+
+Scan states are [batch, N, D] internally, channels innermost, in the
+oracle too: summing p*h over N then runs in the same order everywhere, so
+the blocked scan matches the oracle bit for bit. ``ssm_scan`` contracts
+with its shared P as a matmul. Under a tape it keeps only each chunk's
+start state; backward re-runs a chunk's recurrence from it (Mamba's
+recomputation) before stepping that chunk's adjoint.
 """
 
 from __future__ import annotations
@@ -127,37 +135,46 @@ def selective_scan_seq(x: np.ndarray, params: SSMParams) -> ScanResult:
     n = params.A.shape[1]
     disc = _DISCRETIZERS[params.method]
     deltas, bs, ps = params.step_arrays(length)
-    h = np.zeros((d, n), dtype=x.dtype)
+    h = np.zeros((n, d), dtype=x.dtype)     # [N, D], the chunked core's layout
     y = np.empty((length, d), dtype=x.dtype)
     for t in range(length):
         abar, bbar = disc(params.A, bs[t], deltas[t])
-        bx = bbar * x[t][:, None]
-        h = abar * h + bx
-        y[t] = (ps[t] * h).sum(axis=-1) + params.Q * x[t]
-    return ScanResult(y=y, h_final=h)
+        h = _states_first(abar) * h + _states_first(bbar) * x[t]
+        y[t] = (_states_first(ps[t]) * h).sum(axis=0) + params.Q * x[t]
+    return ScanResult(y=y, h_final=h.T)
 
 
-def _chunked_scan(x, p, q, discretize, block_len, states=None):
-    """Recurrence over x [batch, L, D]; returns y [batch, L, D] and h_L.
+def _states_first(a):
+    """A [..., D, N] array as a C-ordered [..., N, D] one."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
-    ``discretize(t0, t1)`` gives (Abar, Bbar*x) for steps t0..t1-1, each
-    [batch, t1-t0, D, N]; p broadcasts to [batch, L, D, N]. ``states``, if
-    given, is [batch, L+1, D, N] and receives h_{t-1} at [:, t].
+
+def _chunk_states(h, abar, bx):
+    """States h_t of one chunk from its start state h, written over bx [batch, c, N, D]."""
+    for i in range(bx.shape[1]):
+        bx[:, i] += abar[:, i] * h      # equals abar*h + bx bit for bit
+        h = bx[:, i]
+    return bx
+
+
+def _chunked_scan(x, q, discretize, readout, block_len, starts=None):
+    """Recurrence over x [batch, L, D]; returns y [batch, L, D] and h_L [batch, N, D].
+
+    ``discretize(t0, t1)`` gives fresh (Abar, Bbar*x) arrays for steps
+    t0..t1-1, each [batch, t1-t0, N, D]; ``readout(t0, t1, hs)`` contracts
+    those steps' states with P to [batch, t1-t0, D]. ``starts``, if given,
+    is [batch, chunks, N, D] and receives each chunk's start state.
     """
     bt, length, d = x.shape
-    n = p.shape[-1]
     y = np.empty((bt, length, d), dtype=x.dtype)
-    h = np.zeros((bt, d, n), dtype=x.dtype)
-    for t0 in range(0, length, block_len):
+    h = 0.0
+    for k, t0 in enumerate(range(0, length, block_len)):
         t1 = min(t0 + block_len, length)
-        abar, bx = discretize(t0, t1)
-        hs = (states[:, t0:t1 + 1] if states is not None
-              else np.empty((bt, t1 - t0 + 1, d, n), dtype=x.dtype))
-        hs[:, 0] = h
-        for i in range(t1 - t0):
-            hs[:, i + 1] = abar[:, i] * hs[:, i] + bx[:, i]
+        if starts is not None:
+            starts[:, k] = h
+        hs = _chunk_states(h, *discretize(t0, t1))
         h = hs[:, -1]
-        y[:, t0:t1] = (p[:, t0:t1] * hs[:, 1:]).sum(-1) + q * x[:, t0:t1]
+        y[:, t0:t1] = readout(t0, t1, hs) + q * x[:, t0:t1]
     return y, h
 
 
@@ -171,6 +188,8 @@ def selective_scan_blocked(x: np.ndarray, params: SSMParams, block_len: int) -> 
     x = np.asarray(x)
     if x.ndim != 2:
         raise ShapeError(f"selective_scan_blocked: x must be [length, channels], got {x.shape}")
+    if x.shape[0] < 1:
+        raise ShapeError("selective_scan_blocked: empty sequence")
     if block_len < 1:
         raise ShapeError(f"selective_scan_blocked: block_len {block_len} must be >= 1")
     disc = _DISCRETIZERS[params.method]
@@ -178,39 +197,53 @@ def selective_scan_blocked(x: np.ndarray, params: SSMParams, block_len: int) -> 
 
     def discretize(t0, t1):
         abar, bbar = disc(params.A, bs[t0:t1], deltas[t0:t1])
-        return abar[None], (bbar * x[t0:t1, :, None])[None]
+        return _states_first(abar)[None], (_states_first(bbar) * x[t0:t1, None, :])[None]
 
-    y, h = _chunked_scan(x[None], ps[None], params.Q, discretize, block_len)
-    return ScanResult(y=y[0], h_final=h[0])
+    def readout(t0, t1, hs):
+        # per-channel P: elementwise, summed over N in the oracle's order
+        return (_states_first(ps[t0:t1]) * hs).sum(-2)
+
+    y, h = _chunked_scan(x[None], params.Q, discretize, readout, block_len)
+    return ScanResult(y=y[0], h_final=h[0].T)
 
 
 # ---- taped batched scan ----------------------------------------------------
 
-def _scan_backward(g, xd, dd, a_diag, bd, pd, qd, states, block_len):
-    """Adjoint lam_t = g_t P_t + Abar_{t+1} lam_{t+1}, then per-chunk contractions."""
-    bt, length, d = xd.shape
-    lam = np.zeros((bt, d, a_diag.shape[-1]), dtype=g.dtype)
+def _scan_backward(g, xd, dd, a_t, bd, pd, qd, discretize, starts, block_len):
+    """Adjoint lam_t = g_t P_t + Abar_{t+1} lam_{t+1}, one chunk at a time from the last.
+
+    Each chunk's states are recomputed from its start in ``starts`` before
+    its adjoint steps; ``a_t`` is A as [N, D], and gA comes back that way.
+    """
+    length = xd.shape[1]
+    lam = np.zeros(starts.shape[:1] + starts.shape[2:], dtype=g.dtype)   # [batch, N, D]
     gx = g * qd
     gdelta = np.empty_like(dd)
-    ga_diag = np.zeros_like(a_diag)
+    ga = np.zeros_like(a_t)
     gb = np.empty_like(bd)
-    for t0 in reversed(range(0, length, block_len)):
+    gp = np.empty_like(pd)
+    for k in reversed(range(starts.shape[1])):
+        t0 = k * block_len
         t1 = min(t0 + block_len, length)
-        dch, xch = dd[:, t0:t1], xd[:, t0:t1]
-        abar = np.exp(dch[..., None] * a_diag)
-        lam_c = g[:, t0:t1, :, None] * pd[:, t0:t1, None, :]  # becomes lam_t in place
+        dch, xch, gch = dd[:, t0:t1], xd[:, t0:t1], g[:, t0:t1]
+        abar, bx = discretize(t0, t1)
+        hs = _chunk_states(starts[:, k], abar, bx)
+        gp[:, t0:t1] = (hs @ gch[..., None])[..., 0]
+        lam_c = pd[:, t0:t1, :, None] * gch[:, :, None, :]   # becomes lam_t in place
         for i in range(t1 - t0 - 1, -1, -1):
             lam_c[:, i] += lam
-            lam = lam_c[:, i] * abar[:, i]
-        grad_abar_a = lam_c * states[:, t0:t1] * abar
-        ga_diag += np.einsum("bcdn,bcd->dn", grad_abar_a, dch)
-        lam_dot_b = np.einsum("bcdn,bcn->bcd", lam_c, bd[:, t0:t1])
-        gdelta[:, t0:t1] = np.einsum("bcdn,dn->bcd", grad_abar_a, a_diag) + lam_dot_b * xch
+            lam = np.multiply(lam_c[:, i], abar[:, i], out=abar[:, i])
+        lam = lam.copy()      # it is abar[:, 0], which is overwritten next
+        # abar holds lam_t*Abar_t; times h_{t-1} it is dL/d(delta_t*A) per element
+        abar[:, 0] *= starts[:, k]
+        abar[:, 1:] *= hs[:, :-1]
+        ga += np.einsum("bcnd,bcd->nd", abar, dch)
+        lam_dot_b = (bd[:, t0:t1, None, :] @ lam_c)[:, :, 0]
+        gdelta[:, t0:t1] = np.einsum("bcnd,nd->bcd", abar, a_t) + lam_dot_b * xch
         gx[:, t0:t1] += lam_dot_b * dch
-        gb[:, t0:t1] = np.einsum("bcdn,bcd->bcn", lam_c, dch * xch)
-    gp = np.einsum("bld,bldn->bln", g, states[:, 1:])
+        gb[:, t0:t1] = (lam_c @ (dch * xch)[..., None])[..., 0]
     gq = (g * xd).sum(axis=(0, 1))
-    return gx, gdelta, ga_diag, gb, gp, gq
+    return gx, gdelta, ga, gb, gp, gq
 
 
 def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tensor,
@@ -229,23 +262,28 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
         raise ShapeError(f"ssm_scan: B/P must be [batch, L, {n}], got {B.shape} / {P.shape}")
     if Q.shape != (d,):
         raise ShapeError(f"ssm_scan: Q must be [{d}], got {Q.shape}")
-    xd, dd, ad, bd, pd, qd = x.data, delta.data, A.data, B.data, P.data, Q.data
+    if block_len < 1:
+        raise ShapeError(f"ssm_scan: block_len {block_len} must be >= 1")
+    xd, dd, bd, pd, qd = x.data, delta.data, B.data, P.data, Q.data
+    a_t = _states_first(A.data)
     keep = T.active_tape() is not None and any(t.requires_grad for t in (x, delta, A, B, P, Q))
-    states = np.empty((bt, length + 1, d, n), dtype=xd.dtype) if keep else None
+    starts = np.empty((bt, -(-length // block_len), n, d), dtype=xd.dtype) if keep else None
 
     def discretize(t0, t1):
-        dch = dd[:, t0:t1]
-        return (np.exp(dch[..., None] * ad),
-                (dch * xd[:, t0:t1])[..., None] * bd[:, t0:t1, None, :])
+        dch = dd[:, t0:t1, None, :]
+        return np.exp(dch * a_t), (dch * xd[:, t0:t1, None, :]) * bd[:, t0:t1, :, None]
 
-    y, _ = _chunked_scan(xd, pd[:, :, None, :], qd, discretize, block_len, states)
+    def readout(t0, t1, hs):
+        return (pd[:, t0:t1, None, :] @ hs)[:, :, 0]
+
+    y, _ = _chunked_scan(xd, qd, discretize, readout, block_len, starts)
 
     def rule(g):
-        gx, gdelta, ga, gb, gp, gq = _scan_backward(g, xd, dd, ad, bd, pd, qd, states,
-                                                    block_len)
+        gx, gdelta, ga, gb, gp, gq = _scan_backward(g, xd, dd, a_t, bd, pd, qd, discretize,
+                                                    starts, block_len)
         accumulate(x, gx)
         accumulate(delta, gdelta)
-        accumulate(A, ga)
+        accumulate(A, ga.T)
         accumulate(B, gb)
         accumulate(P, gp)
         accumulate(Q, gq)

@@ -1,5 +1,7 @@
 """Operator semantics against direct nested-loop oracles and hand values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,22 @@ class TestConv2d:
         report = grad_check(lambda *a: ops.conv2d(*a, stride, padding, groups),
                             [x, w, b], tolerance=1e-4)
         assert report.passed, str(report)
+
+    def test_tape_retains_no_padded_copy(self):
+        # backward rebuilds the padded float64 input from x.data
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, 16, 24, 24)), dtype=np.float32, requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)), dtype=np.float32, requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = ops.conv2d(x, w, padding=1)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held <= 1.5 * out.data.nbytes, (held, out.data.nbytes)
 
     def test_depthwise_matches_oracle(self):
         rng = np.random.default_rng(5)

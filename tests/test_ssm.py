@@ -1,6 +1,7 @@
 """Discretization, scan oracles, blocked equivalence, cross-scan, gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ssmdet.ssm import (
     selective_scan_seq,
     ssm_scan,
 )
-from ssmdet.tensor import Tensor
+from ssmdet.tensor import Tape, Tensor
 
 
 def random_params(rng, length, d, n, method="zoh", time_varying=True):
@@ -221,8 +222,9 @@ class TestBlockedScan:
 
 
 class TestTapedScan:
-    # block_len 1, an interior chunk boundary, and one chunk covering all of L
-    @pytest.mark.parametrize("block_len", [1, 4, 16])
+    # block_len 1, an interior chunk boundary, one chunk covering all of L, and
+    # four chunks of which the last is partial (backward recomputes each chunk)
+    @pytest.mark.parametrize("block_len", [1, 4, 16, 3])
     def test_matches_sequential_oracle(self, block_len):
         rng = np.random.default_rng(13)
         bt, length, d, n = 3, 10, 4, 6
@@ -243,10 +245,13 @@ class TestTapedScan:
             ref = selective_scan_seq(x[b], params).y
             assert np.abs(y[b] - ref).max() <= 1e-12
 
-    @pytest.mark.parametrize("block_len", [1, 4, 16])
-    def test_gradients_pass_finite_difference(self, block_len):
+    @pytest.mark.parametrize("block_len,length", [
+        pytest.param(1, 6, id="1"), pytest.param(4, 6, id="4"), pytest.param(16, 6, id="16"),
+        pytest.param(3, 10, id="3-L10"),
+    ])
+    def test_gradients_pass_finite_difference(self, block_len, length):
         rng = np.random.default_rng(14)
-        bt, length, d, n = 2, 6, 3, 4
+        bt, d, n = 2, 3, 4
         inputs = [
             Tensor(rng.standard_normal((bt, length, d))),
             Tensor(rng.uniform(0.05, 0.5, (bt, length, d))),
@@ -258,6 +263,25 @@ class TestTapedScan:
         report = grad_check(lambda *a: ssm_scan(*a, block_len=block_len), inputs,
                             tolerance=1e-4)
         assert report.passed, str(report)
+
+    def test_retains_chunk_starts_only(self):
+        # under a tape the scan keeps each chunk's start state, not every state
+        rng = np.random.default_rng(17)
+        bt, length, d, n = 2, 256, 32, 16
+        arrays = [rng.standard_normal((bt, length, d)), rng.uniform(0.01, 0.5, (bt, length, d)),
+                  rng.uniform(-2.0, -0.1, (d, n)), rng.standard_normal((bt, length, n)),
+                  rng.standard_normal((bt, length, n)), rng.standard_normal(d)]
+        inputs = [Tensor(a, dtype=np.float32, requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                y = ssm_scan(*inputs)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held <= 3 * y.data.nbytes, (held, y.data.nbytes)
 
     def test_shape_validation(self):
         x = Tensor(np.zeros((1, 4, 2)))
