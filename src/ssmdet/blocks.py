@@ -100,6 +100,23 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
+    def flops(self, hw):
+        """(FLOPs, output (h, w)) of one image whose input is ``hw``.
+
+        The one accounting rule: children are walked in registration order,
+        each fed the previous child's output size, and their FLOPs summed; a
+        module without children (a norm) counts 0. This holds because
+        children are registered in data-flow order and only a child that
+        consumes its predecessor's output changes the resolution, so a side
+        branch (EcaCsp's shortcut, Head's box stack) sees the right size.
+        Layers with arithmetic of their own override this.
+        """
+        total = 0
+        for child in self._children.values():
+            f, hw = child.flops(hw)
+            total += f
+        return total, hw
+
 
 class ModuleList(Module):
     def __init__(self, modules=()):
@@ -130,11 +147,6 @@ def _conv_weight(rng, c_out, c_in_per_group, kh, kw, dtype) -> Tensor:
     return parameter(rng.uniform(-bound, bound, (c_out, c_in_per_group, kh, kw)), dtype)
 
 
-def _out_hw(hw, kernel, stride):
-    pad = kernel // 2
-    return tuple((s + 2 * pad - kernel) // stride + 1 for s in hw)
-
-
 def conv_flops(c_in, c_out, kernel, groups, out_hw) -> int:
     """Multiply-adds x2 for one convolution; norms/activations ignored."""
     ho, wo = out_hw
@@ -144,6 +156,9 @@ def conv_flops(c_in, c_out, kernel, groups, out_hw) -> int:
 # ---- elementary layers ------------------------------------------------------
 
 class Conv2dLayer(Module):
+    """Square-kernel conv with "same" padding; every conv unit extends it and
+    inherits its weight init, geometry, conv call and FLOP count."""
+
     def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1, bias=True,
                  dtype=np.float32):
         super().__init__()
@@ -157,7 +172,7 @@ class Conv2dLayer(Module):
         return ops.conv2d(x, self.weight, self.bias, self.stride, self.pad, self.groups)
 
     def flops(self, hw):
-        out = _out_hw(hw, self.kernel, self.stride)
+        out = tuple((s + 2 * self.pad - self.kernel) // self.stride + 1 for s in hw)
         return conv_flops(self.c_in, self.c_out, self.kernel, self.groups, out), out
 
 
@@ -186,27 +201,15 @@ class LayerNorm(Module):
         return ops.layer_norm(x, self.gain, self.shift, self.eps)
 
 
-class ConvBnAct(Module):
+class ConvBnAct(Conv2dLayer):
     """Conv (no bias) -> batch norm -> SiLU, the detector's standard unit."""
 
-    def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1, act=True,
-                 dtype=np.float32):
-        super().__init__()
-        self.c_in, self.c_out = c_in, c_out
-        self.kernel, self.stride, self.groups = kernel, stride, groups
-        self.pad = kernel // 2
-        self.act = act
-        self.weight = _conv_weight(rng, c_out, c_in // groups, kernel, kernel, dtype)
+    def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1, dtype=np.float32):
+        super().__init__(rng, c_in, c_out, kernel, stride, groups, bias=False, dtype=dtype)
         self.norm = BatchNorm(c_out, dtype=dtype)
 
     def forward(self, x):
-        y = ops.conv2d(x, self.weight, None, self.stride, self.pad, self.groups)
-        y = self.norm(y)
-        return ops.silu(y) if self.act else y
-
-    def flops(self, hw):
-        out = _out_hw(hw, self.kernel, self.stride)
-        return conv_flops(self.c_in, self.c_out, self.kernel, self.groups, out), out
+        return ops.silu(self.norm(super().forward(x)))
 
 
 # ---- channel attention ------------------------------------------------------
@@ -240,7 +243,7 @@ def channel_map_phi(k: int, gamma: int = 2, b: int = 1) -> int:
     return 2 ** (gamma * k - b)
 
 
-class EcaConv(Module):
+class EcaConv(Conv2dLayer):
     """Convolution with channel attention on a stripped subset.
 
     Pipeline: conv -> split off the first c_hat channels -> global average
@@ -252,34 +255,27 @@ class EcaConv(Module):
     """
 
     def __init__(self, rng, c_in, c_out, kernel=3, stride=1, sigma=0.5,
-                 attn_kernel=3, adaptive=False, gamma=2, b=1, shuffle_groups=2,
-                 bias=True, dtype=np.float32):
-        super().__init__()
+                 attn_kernel=3, adaptive=False, shuffle_groups=2, bias=True,
+                 dtype=np.float32):
         if adaptive:
             sigma = strip_ratio(c_out)
-            attn_kernel = None
         if not 0.0 < sigma <= 1.0:
             raise ValueError(f"EcaConv: sigma {sigma} must be in (0, 1]")
-        self.sigma = sigma
-        self.c_hat = max(1, int(sigma * c_out))
-        if attn_kernel is None:
-            attn_kernel = adaptive_kernel(self.c_hat, gamma, b)
+        c_hat = max(1, int(sigma * c_out))
+        if adaptive:
+            attn_kernel = adaptive_kernel(c_hat)
         if attn_kernel % 2 == 0 or attn_kernel < 1:
             raise ShapeError(f"EcaConv: attention kernel {attn_kernel} must be odd and >= 1")
         if c_out % shuffle_groups:
             raise ShapeError(f"EcaConv: channels {c_out} not divisible by shuffle groups {shuffle_groups}")
-        assert self.c_hat + (c_out - self.c_hat) == c_out
-        self.attn_k = attn_kernel
-        self.c_in, self.c_out = c_in, c_out
-        self.kernel, self.stride, self.pad = kernel, stride, kernel // 2
+        super().__init__(rng, c_in, c_out, kernel, stride, bias=bias, dtype=dtype)
+        self.sigma, self.c_hat, self.attn_k = sigma, c_hat, attn_kernel
         self.shuffle_groups = shuffle_groups
-        self.weight = _conv_weight(rng, c_out, c_in, kernel, kernel, dtype)
-        self.bias = parameter(np.zeros(c_out), dtype) if bias else None
         self.attn_weight = parameter(
             rng.uniform(-1.0, 1.0, (1, 1, attn_kernel)) / math.sqrt(attn_kernel), dtype)
 
     def forward(self, x):
-        y = ops.conv2d(x, self.weight, self.bias, self.stride, self.pad)
+        y = super().forward(x)
         if self.c_hat == self.c_out:
             att, byp = y, None
         else:
@@ -292,8 +288,8 @@ class EcaConv(Module):
         return ops.channel_shuffle(merged, self.shuffle_groups)
 
     def flops(self, hw):
-        out = _out_hw(hw, self.kernel, self.stride)
-        return conv_flops(self.c_in, self.c_out, self.kernel, 1, out) + 2 * self.attn_k * self.c_hat, out
+        conv, out = super().flops(hw)
+        return conv + 2 * self.attn_k * self.c_hat, out
 
 
 class EcaConvBlock(Module):
@@ -309,9 +305,6 @@ class EcaConvBlock(Module):
     def forward(self, x):
         return ops.silu(self.norm(self.eca(x)))
 
-    def flops(self, hw):
-        return self.eca.flops(hw)
-
 
 class EcaCsp(Module):
     """CSP-style block: stacked attention convs beside a depthwise shortcut.
@@ -326,7 +319,6 @@ class EcaCsp(Module):
         if c_out % 2:
             raise ShapeError(f"EcaCsp: output channels {c_out} must be even")
         c_mid = c_out // 2
-        self.c_in, self.c_out, self.c_mid, self.n = c_in, c_out, c_mid, n
         self.pre = ConvBnAct(rng, c_in, c_mid, 1, dtype=dtype)
         self.units = ModuleList(
             EcaConvBlock(rng, c_mid, c_mid, 3, 1, adaptive=adaptive, dtype=dtype)
@@ -343,16 +335,6 @@ class EcaCsp(Module):
         y = ops.channel_shuffle(ops.concat_channels([m, s]), 2)
         return self.post(y)
 
-    def flops(self, hw):
-        total, _ = self.pre.flops(hw)
-        for unit in self.units:
-            f, _ = unit.flops(hw)
-            total += f
-        for m in (self.dw, self.pw, self.post):
-            f, _ = m.flops(hw)
-            total += f
-        return total, hw
-
 
 # ---- fusion blocks -----------------------------------------------------------
 
@@ -367,10 +349,6 @@ class Ffn(Module):
 
     def forward(self, x):
         return self.project(ops.silu(self.expand(x)))
-
-    def flops(self, hw):
-        total = self.expand.flops(hw)[0] + self.project.flops(hw)[0]
-        return total, hw
 
 
 class Vss(Module):
@@ -387,12 +365,11 @@ class Vss(Module):
 
     DIRECTIONS = 4
 
-    def __init__(self, rng, channels, state_size=16, ssm_ratio=2.0, dt_rank=None,
-                 dtype=np.float32):
+    def __init__(self, rng, channels, state_size=16, ssm_ratio=2.0, dtype=np.float32):
         super().__init__()
         d_inner = max(1, int(round(channels * ssm_ratio)))
-        self.channels, self.d_inner, self.state_size = channels, d_inner, state_size
-        self.dt_rank = dt_rank if dt_rank is not None else max(1, d_inner // 16)
+        self.d_inner, self.state_size = d_inner, state_size
+        self.dt_rank = max(1, d_inner // 16)
         r, n, k = self.dt_rank, state_size, self.DIRECTIONS
 
         self.in_proj = Conv2dLayer(rng, channels, 2 * d_inner, 1, dtype=dtype)
@@ -434,15 +411,13 @@ class Vss(Module):
     def flops(self, hw):
         h, w = hw
         length, d, n, r = h * w, self.d_inner, self.state_size, self.dt_rank
-        total = self.in_proj.flops(hw)[0]
+        total = super().flops(hw)[0]                # in_proj, out_proj
         total += conv_flops(d, d, 3, d, hw)
         per_dir = 2 * length * d * (r + 2 * n)      # x_proj
         per_dir += 2 * length * r * d               # dt projection
         per_dir += 3 * 2 * length * d * n           # state, input, output terms
         per_dir += 2 * length * d                   # skip term
-        total += self.DIRECTIONS * per_dir
-        total += self.out_proj.flops(hw)[0]
-        return total, hw
+        return total + self.DIRECTIONS * per_dir, hw
 
 
 class SimVss(Module):
@@ -459,7 +434,6 @@ class SimVss(Module):
         super().__init__()
         if channels % 2:
             raise ShapeError(f"SimVss: channels {channels} must be even to split")
-        self.channels = channels
         self.c_mid = channels // 2
         self.in_proj = ConvBnAct(rng, channels, channels, 1, dtype=dtype)
         self.ln = LayerNorm(self.c_mid, dtype=dtype)
@@ -475,13 +449,6 @@ class SimVss(Module):
         z = z + self.ffn(self.bn(z))
         return self.out_proj(ops.concat_channels([z, passthrough]))
 
-    def flops(self, hw):
-        total = self.in_proj.flops(hw)[0]
-        total += self.vss.flops(hw)[0]
-        total += self.ffn.flops(hw)[0]
-        total += self.out_proj.flops(hw)[0]
-        return total, hw
-
 
 class Stem(Module):
     """Two stride-2 conv+BN+SiLU units: [N,3,H,W] -> [N,c_out,H/4,W/4]."""
@@ -496,8 +463,3 @@ class Stem(Module):
         if h % 4 or w % 4:
             raise ShapeError(f"stem: input {h}x{w} must be divisible by 4")
         return self.conv2(self.conv1(images))
-
-    def flops(self, hw):
-        f1, hw1 = self.conv1.flops(hw)
-        f2, hw2 = self.conv2.flops(hw1)
-        return f1 + f2, hw2

@@ -88,6 +88,8 @@ def load_ppm(path) -> np.ndarray:
             tokens.append(raw[pos:end])
             pos = end
     w, h, maxval = (int(t) for t in tokens)
+    if w < 1 or h < 1:
+        raise ValueError(f"load_ppm: {path}: image size {w}x{h} must be at least 1x1")
     if maxval != 255:
         raise ValueError(f"load_ppm: {path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte after maxval

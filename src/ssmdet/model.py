@@ -46,13 +46,20 @@ class CheckpointMismatch(ValueError):
     model's state names."""
 
 
-# Width/depth multipliers per scale over base channels (64,...,1024); the
+# Width/depth multipliers per scale over the base channels and depths; the
 # resulting stage widths are recorded by `Detector.summary`.
 _SCALE_TABLE = {
     "n": (0.25, 0.33),
     "s": (0.50, 0.33),
     "m": (0.75, 0.67),
 }
+_BASE_CHANNELS = (64, 128, 256, 512, 1024)
+_BASE_DEPTHS = (3, 6, 6)
+_NECK_BASE_DEPTH = 3
+# Calibrated so scale n lands on the 4.0M-parameter / 9-GFLOP budget (fusion
+# contributes ~0.9M params / ~2.2G at 640^2); the fusion blocks keep their
+# default state size 16 and FFN ratio 2.
+_SSM_RATIO = 4.0
 
 
 def _even(v: float) -> int:
@@ -67,27 +74,19 @@ class ScaleSpec:
     width: float
     depth: float
     num_classes: int = 3
-    base_channels: tuple = (64, 128, 256, 512, 1024)
-    base_depths: tuple = (3, 6, 6)
-    neck_base_depth: int = 3
-    state_size: int = 16
-    # Calibrated so scale n lands on the 4.0M-parameter / 9-GFLOP budget
-    # (fusion contributes ~0.9M params / ~2.2G at 640^2).
-    ssm_ratio: float = 4.0
-    ffn_ratio: float = 2.0
 
     def __post_init__(self):
         if self.width <= 0 or self.depth <= 0:
             raise ValueError("scale multipliers must be positive")
 
     def channels(self) -> tuple:
-        return tuple(_even(self.width * c) for c in self.base_channels)
+        return tuple(_even(self.width * c) for c in _BASE_CHANNELS)
 
     def depths(self) -> tuple:
-        return tuple(max(1, round(self.depth * d)) for d in self.base_depths)
+        return tuple(max(1, round(self.depth * d)) for d in _BASE_DEPTHS)
 
     def neck_depth(self) -> int:
-        return max(1, round(self.depth * self.neck_base_depth))
+        return max(1, round(self.depth * _NECK_BASE_DEPTH))
 
 
 def get_scale(name: str, num_classes: int = 3,
@@ -148,12 +147,6 @@ class Head(Module):
             r = m(r)
         return self.cls_out(c), ops.softplus(self.reg_out(r))
 
-    def flops(self, hw):
-        total = 0
-        for m in (*self.cls_stack, self.cls_out, *self.reg_stack, self.reg_out):
-            total += m.flops(hw)[0]
-        return total, hw
-
 
 class Detector(Module):
     """Full detector for one :class:`ScaleSpec`; deterministic per seed."""
@@ -168,8 +161,7 @@ class Detector(Module):
         c1, c2, c3, c4, c5 = spec.channels()
         n3, n4, n5 = spec.depths()
         nn = spec.neck_depth()
-        fuse_kw = dict(state_size=spec.state_size, ssm_ratio=spec.ssm_ratio,
-                       ffn_ratio=spec.ffn_ratio, dtype=dtype)
+        fuse_kw = dict(ssm_ratio=_SSM_RATIO, dtype=dtype)
 
         self.stem = Stem(rng, 3, c1, c2, dtype=dtype)
         self.down3 = EcaConvBlock(rng, c2, c3, 3, 2, dtype=dtype)
@@ -241,6 +233,13 @@ class Detector(Module):
     def count_flops(self, input_size: int = 640) -> int:
         return sum(row[-1] for row in self._layer_table(input_size))
 
+    def flops(self, hw):
+        """`count_flops` of a square input, and the stride-8 grid. The pyramid
+        is not one chain of children, so the rows of `_layer_table` are summed."""
+        if hw[0] != hw[1]:
+            raise ShapeError(f"flops: input {hw} must be square")
+        return self.count_flops(hw[0]), (hw[0] // 8, hw[1] // 8)
+
     def _layer_table(self, input_size: int):
         """Rows (part, name, module, out_channels, out_hw, flops) in forward order."""
         c1, c2, c3, c4, c5 = self.spec.channels()
@@ -273,12 +272,6 @@ class Detector(Module):
         for head, g in zip(self.heads, (hw8, hw16, hw32)):
             step("head", f"head_p{int(math.log2(input_size // g[0]))}", head, nc + 4, g)
         return rows
-
-    def flops_by_part(self, input_size: int = 640) -> dict:
-        parts: dict[str, int] = {}
-        for part, _, _, _, _, flops in self._layer_table(input_size):
-            parts[part] = parts.get(part, 0) + flops
-        return parts
 
     def summary(self, input_size: int = 640) -> str:
         ch = self.spec.channels()

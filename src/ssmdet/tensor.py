@@ -343,12 +343,6 @@ def _validate_basic_key(key) -> None:
             raise TypeError("only basic slicing is differentiable")
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) and dtype is None else Tensor(
-        x.data if isinstance(x, Tensor) else x, dtype=dtype
-    )
-
-
 # ---- free functions ------------------------------------------------------
 
 def exp(x: Tensor) -> Tensor:

@@ -115,8 +115,9 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     lines = head.decode("ascii").splitlines()
     if not lines or not lines[0].startswith("CKPT "):
         raise TensorFormatError("not a checkpoint file")
-    if lines[0].split()[1] != str(_VERSION):
-        raise TensorFormatError(f"unsupported checkpoint version {lines[0].split()[1]}")
+    version = lines[0][len("CKPT "):]
+    if version != str(_VERSION):
+        raise TensorFormatError(f"unsupported checkpoint version {version!r}")
     base = len(head) + len(sep)
     meta: dict[str, str] = {}
     tensors: dict[str, np.ndarray] = {}

@@ -202,3 +202,24 @@ def test_infer_multithreaded_matches_single(tmp_path):
                  "--threads", "3"]) == 0
     assert (run_dir_a / "detections.txt").read_text() == \
         (run_dir_b / "detections.txt").read_text()
+
+
+@pytest.mark.parametrize("bad", ["checkpoint", "image"])
+def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
+    from ssmdet.model import Detector, get_scale
+
+    ckpt, image = tmp_path / "model.ckpt", tmp_path / "img.ppm"
+    if bad == "checkpoint":
+        ckpt.write_bytes(b"CKPT \nend\n")
+        image.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+    else:
+        Detector(get_scale("n", 3, width_override=0.125)).save_checkpoint(ckpt)
+        image.write_bytes(b"P6\n0 0\n255\n")
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(f"input_size = 64\nout_dir = {tmp_path / 'run'}\n")
+    assert main(["infer", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--images", str(image)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    want = {"checkpoint": "unsupported checkpoint version ''",
+            "image": "image size 0x0 must be at least 1x1"}[bad]
+    assert len(err) == 1 and err[0].startswith("infer error: ") and want in err[0]

@@ -36,6 +36,13 @@ class TestPpm:
         with pytest.raises(ValueError, match="magic"):
             D.load_ppm(path)
 
+    @pytest.mark.parametrize("size", [b"-2 2", b"0 0", b"3 0"])
+    def test_empty_or_negative_size_rejected(self, tmp_path, size):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n" + b"\x00" * 12)
+        with pytest.raises(ValueError, match="at least 1x1"):
+            D.load_ppm(path)
+
     def test_truncated_pixels_rejected(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + b"\x00" * 10)

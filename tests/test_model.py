@@ -198,6 +198,40 @@ class TestAccounting:
         flops = model.count_flops(640)
         assert abs(flops - 9.0e9) <= 0.2 * 9.0e9
 
+    def test_flop_accounting_pinned(self):
+        # exact figures of the hand-counted per-block formulas; any change to
+        # the accounting rule has to reproduce them row for row
+        want_totals = {"n": 9_489_259_968, "s": 35_768_843_136, "m": 97_949_059_776}
+        for name, want in want_totals.items():
+            assert Detector(get_scale(name)).count_flops(640) == want, name
+        model = Detector(get_scale("n"))
+        rows = [(name, c_out, out_hw, flops)
+                for _, name, _, c_out, out_hw, flops in model._layer_table(640)]
+        assert rows == [
+            ("stem", 32, (160, 160), 324_403_200),
+            ("down3", 64, (80, 80), 235_929_792),
+            ("csp3", 64, (80, 80), 348_160_192),
+            ("down4", 128, (40, 40), 235_929_984),
+            ("csp4", 128, (40, 40), 580_403_968),
+            ("down5", 256, (20, 20), 235_930_368),
+            ("csp5", 256, (20, 20), 578_561_536),
+            ("fuse3", 64, (80, 80), 965_017_600),
+            ("fuse4", 128, (40, 40), 692_224_000),
+            ("fuse5", 256, (20, 20), 555_827_200),
+            ("lat5", 128, (20, 20), 26_214_400),
+            ("csp_t4", 128, (40, 40), 400_589_184),
+            ("lat4", 64, (40, 40), 26_214_400),
+            ("csp_t3", 64, (80, 80), 407_961_792),
+            ("down_n3", 64, (40, 40), 117_964_800),
+            ("csp_n4", 128, (40, 40), 372_531_584),
+            ("down_n4", 128, (20, 20), 117_964_800),
+            ("csp_n5", 256, (20, 20), 369_767_168),
+            ("head_p3", 7, (80, 80), 1_893_171_200),
+            ("head_p4", 7, (40, 40), 709_222_400),
+            ("head_p5", 7, (20, 20), 295_270_400),
+        ]
+        assert model.flops((640, 640))[0] == want_totals["n"]
+
     def test_summary_mentions_widths(self):
         model = Detector(TOY)
         text = model.summary(64)

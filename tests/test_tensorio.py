@@ -83,3 +83,11 @@ def test_checkpoint_missing_terminator_rejected(tmp_path):
     path.write_bytes(b"CKPT 1\ntensor x 0 10\n")
     with pytest.raises(TensorFormatError, match="terminator"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("first_line", [b"CKPT ", b"CKPT 2", b"CKPT 1 1"])
+def test_checkpoint_bad_version_line_rejected(tmp_path, first_line):
+    path = tmp_path / "broken.ckpt"
+    path.write_bytes(first_line + b"\nend\n")
+    with pytest.raises(TensorFormatError, match="unsupported checkpoint version"):
+        load_checkpoint(path)
