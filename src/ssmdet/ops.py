@@ -4,8 +4,8 @@ A convolution is a sum over its kernel's taps: each tap's weight slice
 multiplies the shifted input window it reads, one matmul per tap for every
 kind of conv (dense, grouped, depthwise, 1x1, strided). Tests hold it to a
 direct nested-loop oracle. Convolution is cross-correlation (no kernel flip).
-Normalizations are built from taped primitives, so their backward rules
-come for free.
+Batch and layer norm are one taped op each, with a closed-form backward
+that keeps only the normalized input.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ def silu(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, x.data).astype(x.data.dtype, copy=False)
+    # log(1 + e^x) without overflow; np.logaddexp is a scalar loop
+    out = np.maximum(x.data, 0) + np.log1p(np.exp(-np.abs(x.data)))
 
     def rule(g):
         accumulate(x, g * _sigmoid_stable(x.data))
@@ -185,6 +186,38 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
 
 # ---- normalization --------------------------------------------------------
 
+def _check_norm_args(name: str, x: Tensor, gain: Tensor, shift: Tensor) -> None:
+    if x.ndim != 4:
+        raise ShapeError(f"{name}: input must be 4D, got {x.shape}")
+    c = x.shape[1]
+    if gain.shape != (c,) or shift.shape != (c,) or {gain.dtype, shift.dtype} != {x.dtype}:
+        raise ShapeError(f"{name}: gain/shift must have length {c} and dtype {x.dtype}")
+
+
+def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift: Tensor,
+               axes: tuple | None) -> Tensor:
+    """``xhat * gain + shift`` with ``xhat = xc * rstd`` as one taped op keeping only ``xhat``.
+
+    ``xc`` is ``x`` less its mean; both statistics were taken over ``axes``,
+    or are constants when it is None. ``gx = rstd * (gh - mean(gh) - xhat *
+    mean(gh * xhat))`` over ``axes``, with ``gh = g * gain``.
+    """
+    xhat = xc * rstd
+    gain4 = gain.data.reshape(1, -1, 1, 1)
+
+    def rule(g):
+        accumulate(gain, (g * xhat).sum(axis=(0, 2, 3)))
+        accumulate(shift, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            gh = g * gain4
+            if axes is not None:
+                gh = gh - gh.mean(axis=axes, keepdims=True) \
+                    - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
+            accumulate(x, gh * rstd)
+
+    return make_op(xhat * gain4 + shift.data.reshape(1, -1, 1, 1), rule, x, gain, shift)
+
+
 def batch_norm(x: Tensor, gain: Tensor, shift: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, eps: float = 1e-5, momentum: float = 0.03) -> Tensor:
@@ -193,39 +226,30 @@ def batch_norm(x: Tensor, gain: Tensor, shift: Tensor,
     Train mode normalizes with batch statistics and moves the running
     stats by an exponential average; infer mode uses the running stats.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"batch_norm: input must be 4D, got {x.shape}")
+    _check_norm_args("batch_norm", x, gain, shift)
     c = x.shape[1]
-    if gain.shape != (c,) or shift.shape != (c,):
-        raise ShapeError(f"batch_norm: gain/shift must have length {c}")
-    if training:
-        if x.shape[0] * x.shape[2] * x.shape[3] == 0:
-            raise ShapeError("batch_norm: empty batch in train mode")
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=(0, 2, 3), keepdims=True)
-        running_mean += momentum * (mu.data.reshape(c) - running_mean)
-        running_var += momentum * (var.data.reshape(c) - running_var)
-        xhat = xc * (var + eps) ** -0.5
-    else:
+    if not training:
         rm = running_mean.reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
         rs = (1.0 / np.sqrt(running_var + eps)).reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
-        xhat = (x - rm) * rs
-    return xhat * gain.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+        return _normalize(x, x.data - rm, rs, gain, shift, None)
+    if x.shape[0] * x.shape[2] * x.shape[3] == 0:
+        raise ShapeError("batch_norm: empty batch in train mode")
+    axes = (0, 2, 3)
+    mu = x.data.mean(axis=axes, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=axes, keepdims=True)
+    running_mean += momentum * (mu.reshape(c) - running_mean)
+    running_var += momentum * (var.reshape(c) - running_var)
+    return _normalize(x, xc, (var + eps) ** -0.5, gain, shift, axes)
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the channel axis independently per spatial position."""
-    if x.ndim != 4:
-        raise ShapeError(f"layer_norm: input must be 4D, got {x.shape}")
-    c = x.shape[1]
-    if gain.shape != (c,) or shift.shape != (c,):
-        raise ShapeError(f"layer_norm: gain/shift must have length {c}")
-    mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    xhat = xc * (var + eps) ** -0.5
-    return xhat * gain.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+    _check_norm_args("layer_norm", x, gain, shift)
+    mu = x.data.mean(axis=(1,), keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=(1,), keepdims=True)
+    return _normalize(x, xc, (var + eps) ** -0.5, gain, shift, (1,))
 
 
 # ---- pooling / layout -----------------------------------------------------

@@ -6,7 +6,8 @@ order with row-major storage. Every differentiable operation appends one
 ``(output, backward_rule)`` node to the active :class:`Tape`. Because the
 recording order is an execution order, replaying the rules in reverse is
 a valid reverse-topological walk: each node fires exactly once, and
-gradients of fanned-out tensors accumulate additively.
+gradients of fanned-out tensors accumulate additively. Backward consumes
+the tape: each node is dropped, with its output's gradient, as it fires.
 
 Forward evaluation with no active tape records nothing, so inference is
 cheap and safe to run concurrently. Tape construction and backward are
@@ -64,7 +65,7 @@ def active_tape() -> "Tape | None":
 
 
 class Tape:
-    """Ordered record of executed operations, replayed in reverse by backward."""
+    """Ordered record of executed operations, replayed in reverse and consumed by backward."""
 
     def __init__(self) -> None:
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
@@ -87,14 +88,18 @@ def backward(tape: Tape, loss: "Tensor") -> None:
     """Accumulate gradients of a scalar loss into every contributing tensor.
 
     Leaf tensors (parameters, inputs) end up with their total gradient in
-    ``.grad``; tensors that did not contribute stay at ``grad=None``.
+    ``.grad``; tensors that did not contribute stay at ``grad=None``. The
+    tape is consumed: each node, its output's gradient and what its rule
+    closes over are dropped as the rule fires; op outputs end with ``grad=None``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    for out, rule in reversed(tape._nodes):
-        if out.grad is not None:
-            rule(out.grad)
+    while tape._nodes:
+        out, rule = tape._nodes.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            rule(g)
 
 
 def accumulate(t: "Tensor", g: np.ndarray) -> None:

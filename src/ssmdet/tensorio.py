@@ -121,15 +121,15 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     base = len(head) + len(sep)
     meta: dict[str, str] = {}
     tensors: dict[str, np.ndarray] = {}
-    for line in lines[1:]:
-        kind, rest = line.split(" ", 1)
-        if kind == "meta":
-            key, value = rest.split(" ", 1)
-            meta[key] = value
-        elif kind == "tensor":
-            name, offset, length = rest.rsplit(" ", 2)
+    for number, line in enumerate(lines[1:], start=2):
+        kind, _, rest = line.partition(" ")
+        fields = rest.split(" ", 1) if kind == "meta" else rest.rsplit(" ", 2)
+        if kind == "meta" and len(fields) == 2:
+            meta[fields[0]] = fields[1]
+        elif kind == "tensor" and len(fields) == 3 and all(f.isdigit() for f in fields[1:]):
+            name, offset, length = fields
             lo = base + int(offset)
             tensors[name] = read_tensor(io.BytesIO(raw[lo:lo + int(length)]))
         else:
-            raise TensorFormatError(f"unknown manifest line kind {kind!r}")
+            raise TensorFormatError(f"malformed checkpoint manifest line {number}: {line!r}")
     return meta, tensors

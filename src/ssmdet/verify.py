@@ -47,12 +47,12 @@ def _check_conv1d(seed, **kw):
     return grad_check(lambda *a: ops.conv1d(a[0], a[1]), [x, w], **kw)
 
 
-def _check_batch_norm(seed, **kw):
+def _check_batch_norm(seed, training=True, **kw):
     rng = np.random.default_rng(seed)
     x, gain, shift = _t(rng, 3, 4, 5, 5), _t(rng, 4), _t(rng, 4)
-    rm, rv = np.zeros(4), np.ones(4)
+    rm, rv = rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)
     return grad_check(
-        lambda *a: ops.batch_norm(a[0], a[1], a[2], rm, rv, training=True),
+        lambda *a: ops.batch_norm(a[0], a[1], a[2], rm, rv, training=training),
         [x, gain, shift], **kw)
 
 
@@ -197,6 +197,7 @@ GRAD_CHECKS = {
     "conv2d_depthwise": _check_conv2d_depthwise,
     "conv1d": _check_conv1d,
     "batch_norm": _check_batch_norm,
+    "batch_norm_eval": lambda seed, **kw: _check_batch_norm(seed, training=False, **kw),
     "layer_norm": _check_layer_norm,
     "activations": _check_activations,
     "pool_upsample": _check_pool_upsample,

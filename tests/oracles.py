@@ -303,3 +303,31 @@ def random_detections(rng, n_images, max_boxes, n_classes, frame=100.0):
             dets.append(Detection(box=box, score=float(rng.random()), class_id=cls))
         preds.append(dets)
     return preds, gts
+
+
+def batch_norm_primitives(x, gain, shift, running_mean, running_var, training,
+                          eps=1e-5, momentum=0.03):
+    """Batch norm as a chain of taped Tensor primitives, each with its own rule."""
+    c = x.shape[1]
+    if training:
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=(0, 2, 3), keepdims=True)
+        running_mean += momentum * (mu.data.reshape(c) - running_mean)
+        running_var += momentum * (var.data.reshape(c) - running_var)
+        xhat = xc * (var + eps) ** -0.5
+    else:
+        rm = running_mean.reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
+        rs = (1.0 / np.sqrt(running_var + eps)).reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
+        xhat = (x - rm) * rs
+    return xhat * gain.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+
+
+def layer_norm_primitives(x, gain, shift, eps=1e-5):
+    """Layer norm over the channel axis as a chain of taped Tensor primitives."""
+    c = x.shape[1]
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    xhat = xc * (var + eps) ** -0.5
+    return xhat * gain.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)

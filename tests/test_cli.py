@@ -204,13 +204,13 @@ def test_infer_multithreaded_matches_single(tmp_path):
         (run_dir_b / "detections.txt").read_text()
 
 
-@pytest.mark.parametrize("bad", ["checkpoint", "image"])
+@pytest.mark.parametrize("bad", ["checkpoint", "image", "manifest"])
 def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
     from ssmdet.model import Detector, get_scale
 
     ckpt, image = tmp_path / "model.ckpt", tmp_path / "img.ppm"
-    if bad == "checkpoint":
-        ckpt.write_bytes(b"CKPT \nend\n")
+    if bad in ("checkpoint", "manifest"):
+        ckpt.write_bytes({"checkpoint": b"CKPT \nend\n", "manifest": b"CKPT 1\ngarbage\nend\n"}[bad])
         image.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
     else:
         Detector(get_scale("n", 3, width_override=0.125)).save_checkpoint(ckpt)
@@ -221,5 +221,6 @@ def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
                  "--images", str(image)]) == 1
     err = capsys.readouterr().err.splitlines()
     want = {"checkpoint": "unsupported checkpoint version ''",
-            "image": "image size 0x0 must be at least 1x1"}[bad]
+            "image": "image size 0x0 must be at least 1x1",
+            "manifest": "malformed checkpoint manifest line 2: 'garbage'"}[bad]
     assert len(err) == 1 and err[0].startswith("infer error: ") and want in err[0]

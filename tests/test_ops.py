@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conv1d_loops, conv2d_loops
+from oracles import batch_norm_primitives, conv1d_loops, conv2d_loops, layer_norm_primitives
 from ssmdet import ops
+from ssmdet.blocks import BatchNorm
 from ssmdet.gradcheck import grad_check
 from ssmdet.tensor import ShapeError, Tape, Tensor
 
@@ -186,6 +187,71 @@ class TestLayerNorm:
             lambda a: ops.layer_norm(a, Tensor(np.ones(5)), Tensor(np.zeros(5))),
             [x], tolerance=1e-4)
         assert report.passed, str(report)
+
+
+def _norm_pair(norm, dtype, seed):
+    """Run a norm and its primitive-chain oracle on the same inputs.
+
+    Returns (output, running mean, running var, gradients of x, gain, shift)
+    for each; ``norm`` is "train", "eval" (batch norm) or "layer".
+    """
+    rng = np.random.default_rng(seed)
+    shape = (3, 6, 5, 4)
+    arrays = [(rng.standard_normal(shape) * 2.5 + 1.5).astype(dtype),
+              rng.standard_normal(6).astype(dtype), rng.standard_normal(6).astype(dtype)]
+    probe = rng.standard_normal(shape).astype(dtype)
+    stats = rng.standard_normal(6).astype(dtype), rng.uniform(0.5, 2.0, 6).astype(dtype)
+    results = []
+    for fused in (True, False):
+        x, gain, shift = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        rm, rv = stats[0].copy(), stats[1].copy()
+        with Tape() as tape:
+            if norm == "layer":
+                y = (ops.layer_norm if fused else layer_norm_primitives)(x, gain, shift)
+            else:
+                y = (ops.batch_norm if fused else batch_norm_primitives)(
+                    x, gain, shift, rm, rv, training=norm == "train")
+            loss = (y * Tensor(probe)).sum()
+        tape.backward(loss)
+        results.append((y.data, rm, rv, x.grad, gain.grad, shift.grad))
+    return results
+
+
+class TestFusedNorms:
+    """The one-op norms against the primitive chains they replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("norm", ["train", "eval", "layer"])
+    def test_forward_and_running_stats_bit_identical(self, norm, dtype):
+        for seed in range(5):
+            fused, chain = _norm_pair(norm, dtype, seed)
+            for a, b in zip(fused[:3], chain[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("norm", ["train", "eval", "layer"])
+    def test_f64_gradients_match_chain(self, norm):
+        for seed in range(5):
+            fused, chain = _norm_pair(norm, np.float64, seed)
+            for a, b in zip(fused[3:], chain[3:]):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("bad", ["rank", "length", "dtype"])
+    @pytest.mark.parametrize("norm", ["batch_norm", "layer_norm"])
+    def test_bad_arguments_rejected(self, norm, bad):
+        x = Tensor(np.ones((2, 3, 4) if bad == "rank" else (2, 3, 4, 4)))
+        gain = Tensor(np.ones(2 if bad == "length" else 3),
+                      dtype=np.float32 if bad == "dtype" else np.float64)
+        args = (np.zeros(3), np.ones(3), True) if norm == "batch_norm" else ()
+        with pytest.raises(ShapeError):
+            getattr(ops, norm)(x, gain, Tensor(np.zeros(3)), *args)
+
+    def test_train_batch_norm_records_one_node(self):
+        bn = BatchNorm(4)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 4, 3, 3)), dtype=np.float32,
+                   requires_grad=True)
+        with Tape() as tape:
+            bn(x)
+        assert len(tape) == 1
 
 
 class TestActivations:

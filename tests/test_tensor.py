@@ -1,5 +1,7 @@
 """Tape and primitive-op behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,39 @@ class TestBackward:
         assert len(tape) == 4
         tape.backward(loss)
         assert np.array_equal(x.grad, [9.0])
+
+    def test_backward_consumes_tape(self):
+        with Tape() as tape:
+            x = Tensor([1.0, 2.0], requires_grad=True)
+            w = Tensor([3.0, -1.0], requires_grad=True)
+            y = x * w
+            z = exp(y) + y
+            loss = z.sum()
+        assert len(tape) == 4
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert all(t.grad is None for t in (y, z, loss))
+        gy = 1.0 + np.exp([3.0, -2.0])
+        assert np.allclose(x.grad, gy * [3.0, -1.0], rtol=1e-15, atol=0.0)
+        assert np.allclose(w.grad, gy * [1.0, 2.0], rtol=1e-15, atol=0.0)
+
+    def test_backward_frees_gradients_as_it_goes(self):
+        # 20 chained products on an 800 KB array: keeping every op's gradient
+        # until the tape dies would grow by 20 arrays
+        x = Tensor(np.random.default_rng(0).standard_normal(100_000), requires_grad=True)
+        with Tape() as tape:
+            y = x
+            for _ in range(20):
+                y = y * 1.001
+            loss = y.sum()
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.data.nbytes, peak / x.data.nbytes
+        assert np.allclose(x.grad, 1.001 ** 20, rtol=1e-12)
 
     def test_unused_branches_get_no_gradient(self):
         with Tape() as tape:

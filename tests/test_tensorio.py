@@ -91,3 +91,13 @@ def test_checkpoint_bad_version_line_rejected(tmp_path, first_line):
     path.write_bytes(first_line + b"\nend\n")
     with pytest.raises(TensorFormatError, match="unsupported checkpoint version"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("line", ["garbage", "meta onlykey", "tensor x a b", "tensor x 0",
+                                  "tensor x -1 10", "blob x 0 10"])
+def test_checkpoint_malformed_manifest_line_named(tmp_path, line):
+    path = tmp_path / "broken.ckpt"
+    path.write_bytes(b"CKPT 1\nmeta scale n\n" + line.encode() + b"\nend\n")
+    with pytest.raises(TensorFormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"malformed checkpoint manifest line 3: {line!r}"
