@@ -93,10 +93,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -177,9 +173,8 @@ class Conv2dLayer(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, channels, eps=1e-5, momentum=0.03, dtype=np.float32):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
-        self.eps, self.momentum = eps, momentum
         self.gain = parameter(np.ones(channels), dtype)
         self.shift = parameter(np.zeros(channels), dtype)
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
@@ -187,18 +182,17 @@ class BatchNorm(Module):
 
     def forward(self, x):
         return ops.batch_norm(x, self.gain, self.shift, self.running_mean,
-                              self.running_var, self.training, self.eps, self.momentum)
+                              self.running_var, self.training)
 
 
 class LayerNorm(Module):
-    def __init__(self, channels, eps=1e-5, dtype=np.float32):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
-        self.eps = eps
         self.gain = parameter(np.ones(channels), dtype)
         self.shift = parameter(np.zeros(channels), dtype)
 
     def forward(self, x):
-        return ops.layer_norm(x, self.gain, self.shift, self.eps)
+        return ops.layer_norm(x, self.gain, self.shift)
 
 
 class ConvBnAct(Conv2dLayer):
@@ -254,9 +248,10 @@ class EcaConv(Conv2dLayer):
     strip_ratio/adaptive_kernel when ``adaptive`` is set.
     """
 
+    shuffle_groups = 2
+
     def __init__(self, rng, c_in, c_out, kernel=3, stride=1, sigma=0.5,
-                 attn_kernel=3, adaptive=False, shuffle_groups=2, bias=True,
-                 dtype=np.float32):
+                 attn_kernel=3, adaptive=False, bias=True, dtype=np.float32):
         if adaptive:
             sigma = strip_ratio(c_out)
         if not 0.0 < sigma <= 1.0:
@@ -266,11 +261,11 @@ class EcaConv(Conv2dLayer):
             attn_kernel = adaptive_kernel(c_hat)
         if attn_kernel % 2 == 0 or attn_kernel < 1:
             raise ShapeError(f"EcaConv: attention kernel {attn_kernel} must be odd and >= 1")
-        if c_out % shuffle_groups:
-            raise ShapeError(f"EcaConv: channels {c_out} not divisible by shuffle groups {shuffle_groups}")
+        if c_out % self.shuffle_groups:
+            raise ShapeError(f"EcaConv: channels {c_out} not divisible by "
+                             f"shuffle groups {self.shuffle_groups}")
         super().__init__(rng, c_in, c_out, kernel, stride, bias=bias, dtype=dtype)
         self.sigma, self.c_hat, self.attn_k = sigma, c_hat, attn_kernel
-        self.shuffle_groups = shuffle_groups
         self.attn_weight = parameter(
             rng.uniform(-1.0, 1.0, (1, 1, attn_kernel)) / math.sqrt(attn_kernel), dtype)
 
@@ -295,11 +290,9 @@ class EcaConv(Conv2dLayer):
 class EcaConvBlock(Module):
     """EcaConv wrapped with the BN + SiLU convention used in the network."""
 
-    def __init__(self, rng, c_in, c_out, kernel=3, stride=1, adaptive=False,
-                 dtype=np.float32):
+    def __init__(self, rng, c_in, c_out, kernel=3, stride=1, dtype=np.float32):
         super().__init__()
-        self.eca = EcaConv(rng, c_in, c_out, kernel, stride,
-                           adaptive=adaptive, bias=False, dtype=dtype)
+        self.eca = EcaConv(rng, c_in, c_out, kernel, stride, bias=False, dtype=dtype)
         self.norm = BatchNorm(c_out, dtype=dtype)
 
     def forward(self, x):
@@ -314,14 +307,14 @@ class EcaCsp(Module):
     of the input; the merge is concat -> channel shuffle -> 1x1 conv.
     """
 
-    def __init__(self, rng, c_in, c_out, n=1, adaptive=False, dtype=np.float32):
+    def __init__(self, rng, c_in, c_out, n=1, dtype=np.float32):
         super().__init__()
         if c_out % 2:
             raise ShapeError(f"EcaCsp: output channels {c_out} must be even")
         c_mid = c_out // 2
         self.pre = ConvBnAct(rng, c_in, c_mid, 1, dtype=dtype)
         self.units = ModuleList(
-            EcaConvBlock(rng, c_mid, c_mid, 3, 1, adaptive=adaptive, dtype=dtype)
+            EcaConvBlock(rng, c_mid, c_mid, 3, 1, dtype=dtype)
             for _ in range(2 * n))
         self.dw = ConvBnAct(rng, c_in, c_in, 3, groups=c_in, dtype=dtype)
         self.pw = ConvBnAct(rng, c_in, c_mid, 1, dtype=dtype)
@@ -339,13 +332,12 @@ class EcaCsp(Module):
 # ---- fusion blocks -----------------------------------------------------------
 
 class Ffn(Module):
-    """Two 1x1 convs with a SiLU in between."""
+    """Two 1x1 convs with a SiLU in between; the hidden width is twice the input's."""
 
-    def __init__(self, rng, channels, hidden_ratio=2.0, dtype=np.float32):
+    def __init__(self, rng, channels, dtype=np.float32):
         super().__init__()
-        hidden = max(1, int(channels * hidden_ratio))
-        self.expand = Conv2dLayer(rng, channels, hidden, 1, dtype=dtype)
-        self.project = Conv2dLayer(rng, hidden, channels, 1, dtype=dtype)
+        self.expand = Conv2dLayer(rng, channels, 2 * channels, 1, dtype=dtype)
+        self.project = Conv2dLayer(rng, 2 * channels, channels, 1, dtype=dtype)
 
     def forward(self, x):
         return self.project(ops.silu(self.expand(x)))
@@ -429,8 +421,7 @@ class SimVss(Module):
     projections.
     """
 
-    def __init__(self, rng, channels, state_size=16, ssm_ratio=2.0, ffn_ratio=2.0,
-                 dtype=np.float32):
+    def __init__(self, rng, channels, state_size=16, ssm_ratio=2.0, dtype=np.float32):
         super().__init__()
         if channels % 2:
             raise ShapeError(f"SimVss: channels {channels} must be even to split")
@@ -439,7 +430,7 @@ class SimVss(Module):
         self.ln = LayerNorm(self.c_mid, dtype=dtype)
         self.vss = Vss(rng, self.c_mid, state_size, ssm_ratio, dtype=dtype)
         self.bn = BatchNorm(self.c_mid, dtype=dtype)
-        self.ffn = Ffn(rng, self.c_mid, ffn_ratio, dtype=dtype)
+        self.ffn = Ffn(rng, self.c_mid, dtype=dtype)
         self.out_proj = Conv2dLayer(rng, channels, channels, 1, dtype=dtype)
 
     def forward(self, x):

@@ -10,6 +10,7 @@ outputs kept in input order.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -177,26 +178,26 @@ def _cmd_eval_map(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ssmdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a subcommand without --conf must reject it, not read it as --config
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--scale", type=str, default=None, choices=["n", "s", "m", "N", "S", "M"])
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--conf", type=float, default=None)
 
-    p = sub.add_parser("check-shapes", help="verify stride ladder and head grids")
+    p = add("check-shapes", help="verify stride ladder and head grids")
     common(p)
     p.add_argument("--input-size", type=int, default=64)
     p.set_defaults(fn=_cmd_check_shapes)
 
-    p = sub.add_parser("grad-check", help="finite-difference checks per block")
+    p = add("grad-check", help="finite-difference checks per block")
     p.add_argument("--all", action="store_true")
     p.add_argument("--block", nargs="*", default=None)
     p.add_argument("--seeds", type=int, default=3)
     p.set_defaults(fn=_cmd_grad_check)
 
-    p = sub.add_parser("scan-bench", help="time sequential vs blocked scans")
+    p = add("scan-bench", help="time sequential vs blocked scans")
     p.add_argument("--lengths", type=str, default="1024,2048,4096")
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--states", type=int, default=16)
@@ -206,13 +207,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=_cmd_scan_bench)
 
-    p = sub.add_parser("param-count", help="report parameters and FLOPs")
+    p = add("param-count", help="report parameters and FLOPs")
     common(p)
     p.add_argument("--input-size", type=int, default=640)
     p.add_argument("--summary", action="store_true")
     p.set_defaults(fn=_cmd_param_count)
 
-    p = sub.add_parser("gen-synthetic", help="write a deterministic shapes dataset")
+    p = add("gen-synthetic", help="write a deterministic shapes dataset")
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--count", type=int, default=32)
     p.add_argument("--image-size", type=int, default=160)
@@ -220,19 +221,22 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_gen_synthetic)
 
-    p = sub.add_parser("train-toy", help="overfit-scale training run")
+    p = add("train-toy", help="overfit-scale training run")
     common(p)
+    p.add_argument("--out", type=str, default=None)
     p.add_argument("--data", type=str, required=True)
     p.set_defaults(fn=_cmd_train_toy)
 
-    p = sub.add_parser("infer", help="detect objects in PPM images")
-    common(p)
+    p = add("infer", help="detect objects in PPM images")
+    p.add_argument("--config", type=str, default=None)
+    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--conf", type=float, default=None)
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--images", nargs="+", required=True)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_infer)
 
-    p = sub.add_parser("eval-map", help="score detections against annotations")
+    p = add("eval-map", help="score detections against annotations")
     p.add_argument("--detections", type=str, required=True)
     p.add_argument("--annotations", type=str, required=True)
     p.set_defaults(fn=_cmd_eval_map)
@@ -247,7 +251,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, OSError, ValueError) as err:
         print(f"{args.command} error: {err}", file=sys.stderr)
         return 1
 

@@ -152,6 +152,7 @@ class Detector(Module):
     """Full detector for one :class:`ScaleSpec`; deterministic per seed."""
 
     STRIDES = (8, 16, 32)
+    MAX_DETS = 300           # detections kept per image by ``detect``
 
     def __init__(self, spec: ScaleSpec, seed: int = 0, dtype=np.float32):
         super().__init__()
@@ -211,8 +212,7 @@ class Detector(Module):
         return pyramid, maps
 
     # ---- inference ------------------------------------------------------
-    def detect(self, images: Tensor, conf_threshold: float = 0.25,
-               max_dets: int = 300) -> list[list[Detection]]:
+    def detect(self, images: Tensor, conf_threshold: float = 0.25) -> list[list[Detection]]:
         was_training = self.training
         self.eval()
         try:
@@ -223,7 +223,7 @@ class Detector(Module):
         out = []
         for i in range(images.shape[0]):
             per_level = [(cls.data[i], reg.data[i]) for cls, reg in maps]
-            out.append(decode(per_level, self.STRIDES, conf_threshold, max_dets, frame))
+            out.append(decode(per_level, self.STRIDES, conf_threshold, self.MAX_DETS, frame))
         return out
 
     # ---- accounting -------------------------------------------------------

@@ -1,9 +1,10 @@
 """Neural-network operators on :class:`~ssmdet.tensor.Tensor`.
 
-A convolution is a sum over its kernel's taps: each tap's weight slice
-multiplies the shifted input window it reads, one matmul per tap for every
-kind of conv (dense, grouped, depthwise, 1x1, strided). Tests hold it to a
-direct nested-loop oracle. Convolution is cross-correlation (no kernel flip).
+Every convolution is :func:`conv2d`, a sum over its kernel's taps: each
+tap's weight slice multiplies the shifted input window it reads, one matmul
+per tap for every kind of conv (dense, grouped, depthwise, 1x1, strided, and
+ECA's :func:`conv1d`, a k x 1 kernel over an L x 1 map). Tests hold it to
+direct nested-loop oracles. Convolution is cross-correlation (no kernel flip).
 Batch and layer norm are one taped op each, with a closed-form backward
 that keeps only the normalized input.
 """
@@ -68,13 +69,14 @@ def softplus(x: Tensor) -> Tensor:
 # ---- convolution ----------------------------------------------------------
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """2D cross-correlation, NCHW in, [C_out, C_in/groups, kh, kw] kernel."""
+           stride: int = 1, padding: int | tuple[int, int] = 0, groups: int = 1) -> Tensor:
+    """2D cross-correlation, NCHW in, [C_out, C_in/groups, kh, kw] kernel, int or (h, w) padding."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4D [batch, channel, height, width], got {x.shape}")
     if w.ndim != 4:
         raise ShapeError(f"conv2d: weight must be 4D, got {w.shape}")
-    if stride < 1 or padding < 0:
+    ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+    if stride < 1 or ph < 0 or pw < 0:
         raise ShapeError(f"conv2d: stride {stride} must be >= 1 and padding {padding} >= 0")
     n, c_in, h, wd = x.shape
     c_out, c_g, kh, kw = w.shape
@@ -84,7 +86,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: weight channel dim {c_g} != input channels {c_in} / groups {groups}")
     if c_out % groups != 0:
         raise ShapeError(f"conv2d: output channels {c_out} not divisible by groups {groups}")
-    hp, wp = h + 2 * padding, wd + 2 * padding
+    hp, wp = h + 2 * ph, wd + 2 * pw
     if kh > hp or kw > wp:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
     if x.data.dtype != w.data.dtype:
@@ -102,7 +104,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     def padded():
         xp = np.zeros(padded_shape)
-        xp[:, :, padding:padding + h, padding:padding + wd] = \
+        xp[:, :, ph:ph + h, pw:pw + wd] = \
             x.data.reshape(n, groups, c_g, h, wd).transpose(1, 2, 3, 4, 0)
         return xp
 
@@ -141,7 +143,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             gxp = np.zeros(padded_shape, dtype=g.dtype)
             for k, (ki, kj) in enumerate(taps):
                 window(gxp, ki, kj)[...] += gtaps[:, :, k]
-            gx = gxp[:, :, padding:padding + h, padding:padding + wd].reshape(c_in, h, wd, n)
+            gx = gxp[:, :, ph:ph + h, pw:pw + wd].reshape(c_in, h, wd, n)
             accumulate(x, gx.transpose(3, 0, 1, 2))
 
     return make_op(out, rule, x, w, bias)
@@ -157,34 +159,15 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
     if k % 2 == 0:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
     n, _, length = x.shape
-    pad = k // 2
-
-    def padded():     # float64; backward rebuilds it from x.data rather than keep it
-        return np.pad(x.data[:, 0], ((0, 0), (pad, pad))).astype(np.float64)
-
-    xp = padded()
-    wk = w.data[0, 0].astype(np.float64)
-    out = np.zeros((n, length))
-    for j in range(k):
-        out += wk[j] * xp[:, j:j + length]
-    out = out.reshape(n, 1, length).astype(x.data.dtype)
-
-    def rule(g):
-        g = g.reshape(n, length)
-        if w.requires_grad:
-            xp = padded()
-            gw = [np.sum(g * xp[:, j:j + length]) for j in range(k)]   # float64: xp is
-            accumulate(w, np.array(gw).reshape(1, 1, k).astype(w.data.dtype))
-        if x.requires_grad:
-            gxp = np.zeros((n, length + 2 * pad), dtype=g.dtype)
-            for j in range(k):
-                gxp[:, j:j + length] += w.data[0, 0, j] * g
-            accumulate(x, gxp[:, None, pad:pad + length])
-
-    return make_op(out, rule, x, w)
+    out = conv2d(x.reshape(n, 1, length, 1), w.reshape(1, 1, k, 1), padding=(k // 2, 0))
+    return out.reshape(n, 1, length)
 
 
 # ---- normalization --------------------------------------------------------
+
+_EPS = 1e-5          # added to the variance by both norms
+_MOMENTUM = 0.03     # weight of the batch statistics in batch norm's running averages
+
 
 def _check_norm_args(name: str, x: Tensor, gain: Tensor, shift: Tensor) -> None:
     if x.ndim != 4:
@@ -219,8 +202,7 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
 
 
 def batch_norm(x: Tensor, gain: Tensor, shift: Tensor,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, eps: float = 1e-5, momentum: float = 0.03) -> Tensor:
+               running_mean: np.ndarray, running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel normalization over batch and spatial dims.
 
     Train mode normalizes with batch statistics and moves the running
@@ -230,7 +212,7 @@ def batch_norm(x: Tensor, gain: Tensor, shift: Tensor,
     c = x.shape[1]
     if not training:
         rm = running_mean.reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
-        rs = (1.0 / np.sqrt(running_var + eps)).reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
+        rs = (1.0 / np.sqrt(running_var + _EPS)).reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
         return _normalize(x, x.data - rm, rs, gain, shift, None)
     if x.shape[0] * x.shape[2] * x.shape[3] == 0:
         raise ShapeError("batch_norm: empty batch in train mode")
@@ -238,18 +220,18 @@ def batch_norm(x: Tensor, gain: Tensor, shift: Tensor,
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
-    running_mean += momentum * (mu.reshape(c) - running_mean)
-    running_var += momentum * (var.reshape(c) - running_var)
-    return _normalize(x, xc, (var + eps) ** -0.5, gain, shift, axes)
+    running_mean += _MOMENTUM * (mu.reshape(c) - running_mean)
+    running_var += _MOMENTUM * (var.reshape(c) - running_var)
+    return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, axes)
 
 
-def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Normalize over the channel axis independently per spatial position."""
     _check_norm_args("layer_norm", x, gain, shift)
     mu = x.data.mean(axis=(1,), keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=(1,), keepdims=True)
-    return _normalize(x, xc, (var + eps) ** -0.5, gain, shift, (1,))
+    return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, (1,))
 
 
 # ---- pooling / layout -----------------------------------------------------

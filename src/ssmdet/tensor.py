@@ -16,7 +16,6 @@ single-writer per tape; the active-tape stack is thread-local.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Sequence
 
@@ -43,11 +42,11 @@ class ShapeError(ValueError):
 
 
 _TLS = threading.local()
-_DEBUG = [bool(os.environ.get("SSMDET_DEBUG"))]
+_DEBUG = [False]
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """Toggle finite-value assertions after every forward op (slow)."""
+    """Toggle finite-value assertions after every forward op (slow); they start off."""
     _DEBUG[0] = bool(enabled)
 
 
@@ -188,9 +187,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -258,14 +254,6 @@ class Tensor:
 
             return make_op(a.data / b.data, rule, a, b)
         return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        a = self
-
-        def rule(g):
-            accumulate(a, _unbroadcast(-g * other / (a.data * a.data), a.data.shape))
-
-        return make_op(other / a.data, rule, a)
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):

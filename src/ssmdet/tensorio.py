@@ -86,8 +86,9 @@ def save_tensor(path, array: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    # parse from memory: a damaged extent must not make the file read allocate its claimed size
     with open(path, "rb") as fh:
-        return read_tensor(fh)
+        return read_tensor(io.BytesIO(fh.read()))
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
@@ -112,7 +113,7 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     head, sep, _ = raw.partition(b"\nend\n")
     if not sep:
         raise TensorFormatError("checkpoint missing manifest terminator")
-    lines = head.decode("ascii").splitlines()
+    lines = head.decode("utf-8", errors="replace").splitlines()
     if not lines or not lines[0].startswith("CKPT "):
         raise TensorFormatError("not a checkpoint file")
     version = lines[0][len("CKPT "):]
@@ -122,7 +123,8 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     meta: dict[str, str] = {}
     tensors: dict[str, np.ndarray] = {}
     for number, line in enumerate(lines[1:], start=2):
-        kind, _, rest = line.partition(" ")
+        # the manifest is ASCII; a line with any other character is malformed
+        kind, _, rest = line.partition(" ") if line.isascii() else ("", "", "")
         fields = rest.split(" ", 1) if kind == "meta" else rest.rsplit(" ", 2)
         if kind == "meta" and len(fields) == 2:
             meta[fields[0]] = fields[1]

@@ -13,11 +13,12 @@ import numpy as np
 
 
 def conv2d_loops(x, w, bias=None, stride=1, padding=0, groups=1):
-    """Direct nested-loop cross-correlation."""
+    """Direct nested-loop cross-correlation; ``padding`` is an int or an (h, w) pair."""
     n, c_in, h, wd = x.shape
     c_out, c_g, kh, kw = w.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (wd + 2 * padding - kw) // stride + 1
+    ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+    ho = (h + 2 * ph - kh) // stride + 1
+    wo = (wd + 2 * pw - kw) // stride + 1
     og = c_out // groups
     out = np.zeros((n, c_out, ho, wo), dtype=np.float64)
     for b in range(n):
@@ -29,8 +30,8 @@ def conv2d_loops(x, w, bias=None, stride=1, padding=0, groups=1):
                     for ci in range(c_g):
                         for ki in range(kh):
                             for kj in range(kw):
-                                yy = i * stride + ki - padding
-                                xx = j * stride + kj - padding
+                                yy = i * stride + ki - ph
+                                xx = j * stride + kj - pw
                                 if 0 <= yy < h and 0 <= xx < wd:
                                     acc += float(x[b, grp * c_g + ci, yy, xx]) * float(w[o, ci, ki, kj])
                     if bias is not None:

@@ -14,6 +14,31 @@ def test_missing_required_argument_exits_2():
     assert main(["gen-synthetic"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-shapes", "--out", "runs"],
+    ["check-shapes", "--conf", "0.5"],
+    ["param-count", "--out", "runs"],
+    ["param-count", "--conf", "0.5"],
+    ["train-toy", "--data", "data", "--conf", "0.5"],
+    ["infer", "--checkpoint", "model.ckpt", "--images", "img.ppm", "--scale", "n"],
+    ["infer", "--checkpoint", "model.ckpt", "--images", "img.ppm", "--seed", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_option_the_subcommand_does_not_read_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval-map", "infer"])
+def test_directory_for_input_file_exits_1(tmp_path, capsys, command):
+    argv = {"eval-map": ["eval-map", "--detections", str(tmp_path), "--annotations", str(tmp_path)],
+            "infer": ["infer", "--checkpoint", str(tmp_path), "--images", str(tmp_path / "img.ppm")]}
+    assert main(argv[command]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command} error: ") and "directory" in lines[0]
+
+
 def test_param_count_summary_line(capsys):
     assert main(["param-count", "--scale", "n"]) == 0
     out = capsys.readouterr().out
@@ -204,13 +229,14 @@ def test_infer_multithreaded_matches_single(tmp_path):
         (run_dir_b / "detections.txt").read_text()
 
 
-@pytest.mark.parametrize("bad", ["checkpoint", "image", "manifest"])
+@pytest.mark.parametrize("bad", ["checkpoint", "image", "manifest", "non-ascii"])
 def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
     from ssmdet.model import Detector, get_scale
 
     ckpt, image = tmp_path / "model.ckpt", tmp_path / "img.ppm"
-    if bad in ("checkpoint", "manifest"):
-        ckpt.write_bytes({"checkpoint": b"CKPT \nend\n", "manifest": b"CKPT 1\ngarbage\nend\n"}[bad])
+    if bad in ("checkpoint", "manifest", "non-ascii"):
+        ckpt.write_bytes({"checkpoint": b"CKPT \nend\n", "manifest": b"CKPT 1\ngarbage\nend\n",
+                          "non-ascii": b"CKPT 1\nmeta n \xff\nend\n"}[bad])
         image.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
     else:
         Detector(get_scale("n", 3, width_override=0.125)).save_checkpoint(ckpt)
@@ -222,5 +248,6 @@ def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
     err = capsys.readouterr().err.splitlines()
     want = {"checkpoint": "unsupported checkpoint version ''",
             "image": "image size 0x0 must be at least 1x1",
-            "manifest": "malformed checkpoint manifest line 2: 'garbage'"}[bad]
+            "manifest": "malformed checkpoint manifest line 2: 'garbage'",
+            "non-ascii": "malformed checkpoint manifest line 2: 'meta n \ufffd'"}[bad]
     assert len(err) == 1 and err[0].startswith("infer error: ") and want in err[0]

@@ -100,6 +100,35 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="exceeds padded input"):
             ops.conv2d(x, w)
 
+    # a k x 1 kernel with an (h, w) padding pair, the form conv1d runs as
+    @pytest.mark.parametrize("stride,padding", [(1, (1, 0)), (1, (2, 1)), (2, (1, 0))])
+    def test_padding_pair_matches_oracle(self, stride, padding):
+        rng = np.random.default_rng(11 + stride + padding[0])
+        x = rng.standard_normal((2, 3, 7, 5))
+        w = rng.standard_normal((4, 3, 3, 1))
+        b = rng.standard_normal(4)
+        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        want = conv2d_loops(x, w, b, stride, padding)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+        got32 = ops.conv2d(*(Tensor(a, dtype=np.float32) for a in (x, w, b)), stride, padding).data
+        assert np.abs(got32 - want.astype(np.float32)).max() <= 1e-6
+
+    def test_padding_pair_gradient_matches_finite_difference(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((2, 3, 7, 5)))
+        w = Tensor(rng.standard_normal((4, 3, 3, 1)))
+        b = Tensor(rng.standard_normal(4))
+        report = grad_check(lambda *a: ops.conv2d(*a, 1, (1, 0)), [x, w, b], tolerance=1e-4)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("padding", [(-1, 0), (0, -1)])
+    def test_negative_padding_entry_rejected(self, padding):
+        x = Tensor(np.zeros((1, 1, 4, 4)))
+        w = Tensor(np.zeros((1, 1, 1, 1)))
+        with pytest.raises(ShapeError, match="padding"):
+            ops.conv2d(x, w, padding=padding)
+
 
 class TestConv1d:
     def test_delta_kernel_is_identity(self):
@@ -118,6 +147,17 @@ class TestConv1d:
         w = rng.standard_normal((1, 1, 3))
         got = ops.conv1d(Tensor(x), Tensor(w)).data
         assert np.abs(got - conv1d_loops(x, w)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_rounded_loop_oracle(self, dtype):
+        # the f64 oracle rounded once to the input dtype, with no tolerance
+        rng = np.random.default_rng(3)
+        for n, length, k in [(1, 1, 1), (1, 1, 5), (2, 7, 3), (3, 16, 5), (8, 32, 7)]:
+            x = rng.standard_normal((n, 1, length)).astype(dtype)
+            w = rng.standard_normal((1, 1, k)).astype(dtype)
+            got = ops.conv1d(Tensor(x), Tensor(w)).data
+            assert got.dtype == dtype
+            assert np.array_equal(got, conv1d_loops(x, w).astype(dtype))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="must be odd"):

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmdet.tensorio import (
     TensorFormatError,
@@ -94,10 +96,64 @@ def test_checkpoint_bad_version_line_rejected(tmp_path, first_line):
 
 
 @pytest.mark.parametrize("line", ["garbage", "meta onlykey", "tensor x a b", "tensor x 0",
-                                  "tensor x -1 10", "blob x 0 10"])
+                                  "tensor x -1 10", "blob x 0 10", "meta n \xff"])
 def test_checkpoint_malformed_manifest_line_named(tmp_path, line):
     path = tmp_path / "broken.ckpt"
     path.write_bytes(b"CKPT 1\nmeta scale n\n" + line.encode() + b"\nend\n")
     with pytest.raises(TensorFormatError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"malformed checkpoint manifest line 3: {line!r}"
+
+
+def _damaged(good: bytes):
+    """``good`` cut at a random point, or with 1-4 random bytes XOR-ed."""
+    def flip(changes):
+        buf = bytearray(good)
+        for at, mask in changes:
+            buf[at] ^= mask
+        return bytes(buf)
+
+    cut = st.integers(0, len(good) - 1).map(lambda n: good[:n])
+    flips = st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)),
+                     min_size=1, max_size=4).map(flip)
+    return st.one_of(cut, flips)
+
+
+_GOOD_BLOB = tensor_bytes(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+
+
+@pytest.fixture(scope="module")
+def corrupt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt")
+
+
+@pytest.fixture(scope="module")
+def good_checkpoint(corrupt_dir) -> bytes:
+    path = corrupt_dir / "good.ckpt"
+    save_checkpoint(path, {"stem.weight": np.ones((2, 1, 3, 3), dtype=np.float32),
+                           "head.bias": np.arange(3.0)}, meta={"scale": "n", "classes": "3"})
+    return path.read_bytes()
+
+
+# A damaged file either loads (a flipped payload byte is still a valid file) or
+# raises a ValueError subclass, never IndexError, KeyError, struct.error or MemoryError.
+@settings(max_examples=200, deadline=None)
+@given(blob=_damaged(_GOOD_BLOB))
+def test_damaged_tensor_loads_or_raises_value_error(corrupt_dir, blob):
+    path = corrupt_dir / "damaged.tnsr"
+    path.write_bytes(blob)
+    try:
+        load_tensor(path)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_value_error(corrupt_dir, good_checkpoint, data):
+    path = corrupt_dir / "damaged.ckpt"
+    path.write_bytes(data.draw(_damaged(good_checkpoint)))
+    try:
+        load_checkpoint(path)
+    except ValueError:
+        pass
