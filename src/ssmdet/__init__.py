@@ -13,10 +13,10 @@ from .blocks import (
     channel_map_phi,
     strip_ratio,
 )
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config
 from .gradcheck import grad_check
 from .metrics import eval_map
-from .model import Detection, Detector, FeaturePyramid, ScaleSpec, decode, get_scale, nms
+from .model import Detection, Detector, FeaturePyramid, ScaleSpec, decode, get_scale
 from .ssm import (
     SSMParams,
     ScanResult,
@@ -60,9 +60,7 @@ __all__ = [
     "get_scale",
     "grad_check",
     "load_config",
-    "nms",
     "ops",
-    "save_config",
     "selective_scan_blocked",
     "selective_scan_seq",
     "ssm_scan",

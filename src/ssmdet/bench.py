@@ -62,6 +62,8 @@ def bench_scan(lengths, channels: int, states: int, block_lens, repeats: int = 5
     phase of the host does not bias any single row, and the collector is
     paused while sampling.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats {repeats} must be >= 1")
     rng = np.random.default_rng(seed)
     runs = []     # (row skeleton without time, closure)
     for length in lengths:

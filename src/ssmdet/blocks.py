@@ -215,26 +215,30 @@ def strip_ratio(channels: int) -> float:
     return min(1.0, max(0.1, math.log2(channels) / 10.0))
 
 
-def adaptive_kernel(c_hat: int, gamma: int = 2, b: int = 1) -> int:
+# ECA-Net's fixed constants of the kernel-size mapping (Wang et al. 2020)
+_ECA_GAMMA, _ECA_B = 2, 1
+
+
+def adaptive_kernel(c_hat: int) -> int:
     """1D attention kernel size mapped from the attended channel count.
 
-    (log2(c_hat) + b) / gamma, rounded down to the nearest odd integer,
-    minimum 1.
+    (log2(c_hat) + b) / gamma with gamma = 2, b = 1, rounded down to the
+    nearest odd integer, minimum 1.
     """
     if c_hat < 1:
         raise ValueError(f"adaptive_kernel: c_hat {c_hat} must be >= 1")
-    v = (math.log2(c_hat) + b) / gamma
+    v = (math.log2(c_hat) + _ECA_B) / _ECA_GAMMA
     k = int(math.floor(v))
     if k % 2 == 0:
         k -= 1
     return max(k, 1)
 
 
-def channel_map_phi(k: int, gamma: int = 2, b: int = 1) -> int:
+def channel_map_phi(k: int) -> int:
     """Inverse mapping: kernel size k covers 2^(gamma*k - b) channels."""
     if k < 1:
         raise ValueError(f"channel_map_phi: k {k} must be >= 1")
-    return 2 ** (gamma * k - b)
+    return 2 ** (_ECA_GAMMA * k - _ECA_B)
 
 
 class EcaConv(Conv2dLayer):

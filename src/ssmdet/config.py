@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "save_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config"]
 
 _VERSION = 1
 
@@ -75,7 +75,7 @@ def load_config(path) -> RunConfig:
     """Parse a `key = value` document; unknown keys are rejected."""
     cfg = RunConfig()
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().split("\n"), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -94,9 +94,3 @@ def load_config(path) -> RunConfig:
         setattr(cfg, key, _parse_value(key, raw))
     return cfg.validate()
 
-
-def save_config(cfg: RunConfig, path) -> None:
-    lines = [f"version = {_VERSION}"]
-    for f in fields(RunConfig):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -206,8 +206,8 @@ def _read_document(path, what: str, item: str, item_fields: int):
     Checks the `count` line against the `image` lines and each image's
     count against the `item` lines after it; ValueError names the line.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != f"version {_DOC_VERSION}":
+    lines = Path(path).read_text().removesuffix("\n").split("\n")
+    if lines[0] != f"version {_DOC_VERSION}":
         raise ValueError(f"{path}: not a version-{_DOC_VERSION} {what} document")
 
     def fail(i, message):

@@ -5,7 +5,7 @@ Stride ladder is 4 (stem) -> 8 -> 16 -> 32; the head emits per-level
 class logits [N, nc, h, w] and box maps [N, 4, h, w] holding
 left-top-right-bottom distances in stride units, kept non-negative by a
 softplus. No suppression is applied at decode time; detections rank by
-confidence only (a greedy NMS is provided separately as a baseline).
+confidence only.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .blocks import (
     SimVss,
     Stem,
 )
-from .metrics import iou_xyxy
 from .tensor import ShapeError, Tensor
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "ScaleSpec",
     "decode",
     "get_scale",
-    "nms",
 ]
 
 
@@ -242,6 +240,9 @@ class Detector(Module):
 
     def _layer_table(self, input_size: int):
         """Rows (part, name, module, out_channels, out_hw, flops) in forward order."""
+        if input_size < 32 or input_size % 32:
+            raise ShapeError(
+                f"input {input_size}x{input_size} must be positive and divisible by 32")
         c1, c2, c3, c4, c5 = self.spec.channels()
         rows = []
 
@@ -295,18 +296,17 @@ class Detector(Module):
         state.update({name: b for name, b in self.named_buffers()})
         return state
 
-    def save_checkpoint(self, path, extra_meta: dict | None = None) -> None:
+    def save_checkpoint(self, path) -> None:
         meta = {
             "scale": self.spec.name,
             "width": repr(self.spec.width),
             "depth": repr(self.spec.depth),
             "num_classes": str(self.spec.num_classes),
         }
-        meta.update(extra_meta or {})
         tensorio.save_checkpoint(path, self.state_arrays(), meta)
 
     @classmethod
-    def from_checkpoint(cls, path, dtype=np.float32) -> "Detector":
+    def from_checkpoint(cls, path) -> "Detector":
         meta, tensors = tensorio.load_checkpoint(path)
         missing = [k for k in ("scale", "width", "depth", "num_classes") if k not in meta]
         if missing:
@@ -317,7 +317,7 @@ class Detector(Module):
             depth=float(meta["depth"]),
             num_classes=int(meta["num_classes"]),
         )
-        model = cls(spec, dtype=dtype)
+        model = cls(spec)
         model.load_state(tensors)
         return model
 
@@ -374,13 +374,3 @@ def decode(per_level_maps, strides, conf_threshold: float, max_dets: int,
     rows.sort(key=lambda d: -d.score)
     return rows[:max_dets]
 
-
-def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy per-class suppression baseline (the decode path skips this)."""
-    order = sorted(dets, key=lambda d: -d.score)
-    kept: list[Detection] = []
-    for d in order:
-        if all(k.class_id != d.class_id or iou_xyxy(k.box, d.box) < iou_threshold
-               for k in kept):
-            kept.append(d)
-    return kept

@@ -278,15 +278,16 @@ def concat_channels(parts) -> Tensor:
     return concat(parts, axis=1)
 
 
-def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Double the height and width of a [n, c, h, w] map by repeating each cell."""
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest: input must be 4D, got {x.shape}")
     n, c, h, w = x.shape
 
     def rule(g):
-        accumulate(x, g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
+        accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    return make_op(x.data.repeat(factor, axis=2).repeat(factor, axis=3), rule, x)
+    return make_op(x.data.repeat(2, axis=2).repeat(2, axis=3), rule, x)
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:

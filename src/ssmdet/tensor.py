@@ -33,7 +33,6 @@ __all__ = [
     "make_op",
     "maximum",
     "minimum",
-    "set_debug_checks",
 ]
 
 
@@ -42,12 +41,6 @@ class ShapeError(ValueError):
 
 
 _TLS = threading.local()
-_DEBUG = [False]
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle finite-value assertions after every forward op (slow); they start off."""
-    _DEBUG[0] = bool(enabled)
 
 
 def _tape_stack() -> list:
@@ -114,8 +107,6 @@ def make_op(out_data: np.ndarray, rule: Callable[[np.ndarray], None], *inputs) -
     ``rule(gout)`` must route gradients into the inputs via ``accumulate``.
     When no tape is active (or no input requires grad) the rule is dropped.
     """
-    if _DEBUG[0] and not np.all(np.isfinite(out_data)):
-        raise FloatingPointError("non-finite values in op output")
     tape = active_tape()
     rec = tape is not None and any(
         isinstance(t, Tensor) and t.requires_grad for t in inputs

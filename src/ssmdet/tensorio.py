@@ -1,15 +1,16 @@
 """Bit-exact tensor and checkpoint serialization.
 
-Tensor blob layout: magic "TNSR", version u32=1, dtype code u8 (0=f32,
-1=f64), rank u32, extents rank x u32, then the little-endian row-major
-payload. Checkpoints are a text manifest (meta lines plus a name ->
-offset/length table) terminated by "end", followed by concatenated
-tensor blobs; offsets are relative to the first blob byte.
+``tensor_bytes`` and ``tensor_from_bytes`` convert one array to and from
+an in-memory tensor blob. Blob layout: magic "TNSR", version u32=1, dtype
+code u8 (0=f32, 1=f64), rank u32, extents rank x u32, then the
+little-endian row-major payload. Checkpoints are a text manifest (meta
+lines plus a name -> offset/length table) terminated by "end", followed
+by concatenated tensor blobs; offsets are relative to the first blob byte.
 """
 
 from __future__ import annotations
 
-import io
+import math
 import struct
 
 import numpy as np
@@ -17,16 +18,14 @@ import numpy as np
 __all__ = [
     "TensorFormatError",
     "load_checkpoint",
-    "load_tensor",
-    "read_tensor",
     "save_checkpoint",
-    "save_tensor",
     "tensor_bytes",
-    "write_tensor",
+    "tensor_from_bytes",
 ]
 
 _MAGIC = b"TNSR"
 _VERSION = 1
+_HEAD = struct.Struct("<4sIBI")   # magic, version, dtype code, rank
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
@@ -35,60 +34,41 @@ class TensorFormatError(ValueError):
     """Malformed tensor blob or checkpoint."""
 
 
-def write_tensor(fh, array: np.ndarray) -> None:
+def tensor_bytes(array: np.ndarray) -> bytes:
     array = np.asarray(array)
     if array.dtype not in _DTYPE_CODES:
         raise TensorFormatError(f"unsupported dtype {array.dtype}; use float32 or float64")
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<I", _VERSION))
-    fh.write(struct.pack("<B", _DTYPE_CODES[array.dtype]))
-    fh.write(struct.pack("<I", array.ndim))
-    for extent in array.shape:
-        fh.write(struct.pack("<I", extent))
-    le = array.astype(array.dtype.newbyteorder("<"), copy=False)
-    fh.write(np.ascontiguousarray(le).tobytes())
+    head = _HEAD.pack(_MAGIC, _VERSION, _DTYPE_CODES[array.dtype], array.ndim)
+    extents = struct.pack(f"<{array.ndim}I", *array.shape)
+    return head + extents + array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes()
 
 
-def read_tensor(fh) -> np.ndarray:
-    def take(n: int) -> bytes:
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise TensorFormatError("truncated tensor blob")
-        return buf
-
-    if take(4) != _MAGIC:
+def tensor_from_bytes(blob: bytes) -> np.ndarray:
+    """Parse one tensor blob; its length must be exactly what its header declares."""
+    if len(blob) < _HEAD.size:
+        raise TensorFormatError("truncated tensor blob")
+    magic, version, code, rank = _HEAD.unpack_from(blob)
+    if magic != _MAGIC:
         raise TensorFormatError("bad magic; not a tensor blob")
-    (version,) = struct.unpack("<I", take(4))
     if version != _VERSION:
         raise TensorFormatError(f"unsupported tensor format version {version}")
-    (code,) = struct.unpack("<B", take(1))
     if code not in _CODE_DTYPES:
         raise TensorFormatError(f"unknown dtype code {code}")
-    (rank,) = struct.unpack("<I", take(4))
     if rank > 32:
         raise TensorFormatError(f"implausible rank {rank}")
-    shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
+    offset = _HEAD.size + 4 * rank
+    if len(blob) < offset:
+        raise TensorFormatError("truncated tensor blob")
+    shape = struct.unpack_from(f"<{rank}I", blob, _HEAD.size)
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(take(count * dtype.itemsize), dtype=dtype)
+    count = math.prod(shape)
+    extra = len(blob) - offset - count * dtype.itemsize
+    if extra < 0:
+        raise TensorFormatError("truncated tensor blob")
+    if extra > 0:
+        raise TensorFormatError(f"{extra} bytes after the tensor payload")
+    data = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     return data.reshape(shape).astype(dtype.newbyteorder("="))
-
-
-def tensor_bytes(array: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    write_tensor(buf, array)
-    return buf.getvalue()
-
-
-def save_tensor(path, array: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_tensor(fh, array)
-
-
-def load_tensor(path) -> np.ndarray:
-    # parse from memory: a damaged extent must not make the file read allocate its claimed size
-    with open(path, "rb") as fh:
-        return read_tensor(io.BytesIO(fh.read()))
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
@@ -113,8 +93,8 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     head, sep, _ = raw.partition(b"\nend\n")
     if not sep:
         raise TensorFormatError("checkpoint missing manifest terminator")
-    lines = head.decode("utf-8", errors="replace").splitlines()
-    if not lines or not lines[0].startswith("CKPT "):
+    lines = head.decode("utf-8", errors="replace").split("\n")
+    if not lines[0].startswith("CKPT "):
         raise TensorFormatError("not a checkpoint file")
     version = lines[0][len("CKPT "):]
     if version != str(_VERSION):
@@ -131,7 +111,7 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         elif kind == "tensor" and len(fields) == 3 and all(f.isdigit() for f in fields[1:]):
             name, offset, length = fields
             lo = base + int(offset)
-            tensors[name] = read_tensor(io.BytesIO(raw[lo:lo + int(length)]))
+            tensors[name] = tensor_from_bytes(raw[lo:lo + int(length)])
         else:
             raise TensorFormatError(f"malformed checkpoint manifest line {number}: {line!r}")
     return meta, tensors

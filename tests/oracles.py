@@ -87,22 +87,6 @@ def iou_scalar(a, b):
     return inter / union
 
 
-def nms_bruteforce(dets, iou_threshold):
-    """All-pairs suppression check against every higher-scored kept box."""
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    kept_idx = []
-    for i in order:
-        ok = True
-        for j in kept_idx:
-            if dets[j].class_id == dets[i].class_id and \
-                    iou_scalar(dets[j].box, dets[i].box) >= iou_threshold:
-                ok = False
-                break
-        if ok:
-            kept_idx.append(i)
-    return [dets[i] for i in kept_idx]
-
-
 def eval_map_bruteforce(predictions, ground_truth, iou_thresholds):
     """Scalar-loop evaluator: selection-ordered greedy matching, direct
     101-point interpolation, micro P/R at confidence 0.25."""

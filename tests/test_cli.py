@@ -39,6 +39,22 @@ def test_directory_for_input_file_exits_1(tmp_path, capsys, command):
     assert len(lines) == 1 and lines[0].startswith(f"{command} error: ") and "directory" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["param-count", "--input-size", "0"],
+    ["param-count", "--input-size", "16"],
+    ["param-count", "--input-size", "40"],
+    ["param-count", "--input-size", "-32"],
+    ["scan-bench", "--lengths", "16", "--block-lens", "8", "--repeats", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_bad_size_exits_1_with_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = {"param-count": f"input {argv[-1]}x{argv[-1]} must be positive and divisible by 32",
+            "scan-bench": "repeats 0 must be >= 1"}[argv[0]]
+    assert captured.err.splitlines() == [f"{argv[0]} error: {want}"]
+
+
 def test_param_count_summary_line(capsys):
     assert main(["param-count", "--scale", "n"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,10 @@
-"""Run-configuration parsing: strict keys, invariants, roundtrip."""
+"""Run-configuration parsing: strict keys, invariants, every field."""
+
+from dataclasses import fields
 
 import pytest
 
-from ssmdet.config import ConfigError, RunConfig, load_config, save_config
+from ssmdet.config import ConfigError, RunConfig, load_config
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -58,13 +60,20 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     assert load_config(path).seed == 5
 
 
-def test_save_load_roundtrip_is_identity(tmp_path):
-    cfg = RunConfig(scale="s", seed=11, batch_size=4, epochs=7,
-                    input_size=160, width_override=0.125, out_dir="x/y")
+def test_load_sets_every_field(tmp_path):
     path = tmp_path / "run.cfg"
-    save_config(cfg, path)
-    assert path.read_text().startswith("version = 1")
-    assert load_config(path) == cfg
+    path.write_text(
+        "version = 1\n"
+        "scale = s\nnum_classes = 5\ninput_size = 160\nseed = 11\n"
+        "lr_initial = 0.02\nlr_final = 0.0002\nmomentum = 0.9\nwarmup_epochs = 1\n"
+        "batch_size = 4\nepochs = 7\nconf_threshold = 0.5\nout_dir = x/y\n"
+        "width_override = 0.125\ndepth_override = 0.5\n")
+    want = RunConfig(scale="s", num_classes=5, input_size=160, seed=11,
+                     lr_initial=0.02, lr_final=0.0002, momentum=0.9, warmup_epochs=1,
+                     batch_size=4, epochs=7, conf_threshold=0.5, out_dir="x/y",
+                     width_override=0.125, depth_override=0.5)
+    assert load_config(path) == want
+    assert all(getattr(want, f.name) != f.default for f in fields(RunConfig))
 
 
 def test_unsupported_version_rejected(tmp_path):

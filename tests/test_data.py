@@ -1,10 +1,12 @@
-"""Image I/O, letterboxing, synthetic generation, document roundtrips."""
+"""Image I/O, letterboxing, synthetic generation, document roundtrips and line splitting."""
 
 import numpy as np
 import pytest
 
 from ssmdet import data as D
+from ssmdet.config import load_config
 from ssmdet.model import Detection
+from ssmdet.tensorio import load_checkpoint
 
 
 class TestPpm:
@@ -168,3 +170,30 @@ class TestDocuments:
         path.write_text("version 2\ncount 0\n")
         with pytest.raises(ValueError):
             D.load_annotations(path)
+
+
+# Vertical tab, form feed and the ASCII separators end a line for str.splitlines
+# but not for these documents: a line holding one is one line.
+# loader -> (load, text before line N, text after it, N, line holding {}, where {} lands)
+_LINE_DOCUMENTS = {
+    "checkpoint": (load_checkpoint, "CKPT 1\n", "end\n", 2, "meta n {}",
+                   lambda got: got[0]["n"]),
+    "config": (load_config, "seed = 1\n", "", 2, "out_dir = {}", lambda got: got.out_dir),
+    "annotations": (D.load_annotations, "version 1\ncount 1\n", "", 3, "image {} 16 16 0",
+                    lambda got: got[0].path),
+}
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"], ids=repr)
+@pytest.mark.parametrize("loader", list(_LINE_DOCUMENTS))
+def test_line_holding_a_line_separator_is_one_line(tmp_path, loader, brk):
+    load, head, tail, number, template, kept = _LINE_DOCUMENTS[loader]
+    path = tmp_path / "doc"
+    value = f"a{brk}b.ppm"
+    path.write_bytes(f"{head}{template.format(value)}\n{tail}".encode())
+    assert kept(load(path)) == value
+    bad = f"bad{brk}line x"
+    path.write_bytes(f"{head}{bad}\n{tail}".encode())
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert f"line {number}: " in str(err.value) and repr(bad) in str(err.value)

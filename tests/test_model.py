@@ -1,11 +1,10 @@
-"""Detector assembly: shapes, decode, NMS, accounting, checkpoints."""
+"""Detector assembly: shapes, decode, accounting, checkpoints."""
 
 import numpy as np
 import pytest
 
-from oracles import nms_bruteforce
 from ssmdet.blocks import Conv2dLayer, conv_flops
-from ssmdet.model import Detection, Detector, ScaleSpec, decode, get_scale, nms
+from ssmdet.model import Detector, ScaleSpec, decode, get_scale
 from ssmdet.tensor import ShapeError, Tensor
 
 TOY = get_scale("n", width_override=0.125)
@@ -136,32 +135,6 @@ class TestDecode:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             decode([], (8,), 1.5, 10, (64, 64))
-
-
-class TestNms:
-    def test_disjoint_boxes_unchanged(self):
-        dets = [Detection((0, 0, 10, 10), 0.9, 0),
-                Detection((20, 20, 30, 30), 0.8, 0)]
-        assert nms(dets, 0.5) == dets
-
-    def test_identical_boxes_collapse(self):
-        dets = [Detection((0, 0, 10, 10), 0.9, 1),
-                Detection((0, 0, 10, 10), 0.7, 1)]
-        kept = nms(dets, 0.99)
-        assert len(kept) == 1 and kept[0].score == 0.9
-
-    def test_matches_bruteforce_oracle(self):
-        rng = np.random.default_rng(8)
-        for trial in range(20):
-            dets = []
-            for _ in range(int(rng.integers(0, 33))):
-                x1, y1 = rng.uniform(0, 50, 2)
-                bw, bh = rng.uniform(4, 30, 2)
-                dets.append(Detection((x1, y1, x1 + bw, y1 + bh),
-                                      float(rng.random()), int(rng.integers(0, 3))))
-            got = nms(dets, 0.5)
-            want = nms_bruteforce(dets, 0.5)
-            assert got == want
 
 
 class TestAccounting:

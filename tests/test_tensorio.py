@@ -1,7 +1,5 @@
 """Golden tensor format and checkpoint container."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,21 +8,17 @@ from hypothesis import strategies as st
 from ssmdet.tensorio import (
     TensorFormatError,
     load_checkpoint,
-    load_tensor,
-    read_tensor,
     save_checkpoint,
-    save_tensor,
     tensor_bytes,
+    tensor_from_bytes,
 )
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_roundtrip_bit_exact(tmp_path, dtype):
+def test_roundtrip_bit_exact(dtype):
     rng = np.random.default_rng(0)
     arr = rng.standard_normal((3, 4, 5)).astype(dtype)
-    path = tmp_path / "t.tnsr"
-    save_tensor(path, arr)
-    back = load_tensor(path)
+    back = tensor_from_bytes(tensor_bytes(arr))
     assert back.dtype == dtype
     assert np.array_equal(back, arr)
 
@@ -49,13 +43,32 @@ def test_payload_is_little_endian_row_major():
 
 def test_bad_magic_rejected():
     with pytest.raises(TensorFormatError, match="magic"):
-        read_tensor(io.BytesIO(b"NOPE" + b"\x00" * 20))
+        tensor_from_bytes(b"NOPE" + b"\x00" * 20)
 
 
 def test_truncated_payload_rejected():
     blob = tensor_bytes(np.ones(4, dtype=np.float32))
     with pytest.raises(TensorFormatError, match="truncated"):
-        read_tensor(io.BytesIO(blob[:-2]))
+        tensor_from_bytes(blob[:-2])
+
+
+def test_trailing_bytes_rejected():
+    blob = tensor_bytes(np.ones(4, dtype=np.float32))
+    with pytest.raises(TensorFormatError, match="2 bytes after the tensor payload"):
+        tensor_from_bytes(blob + b"\x00\x00")
+
+
+@pytest.mark.parametrize("via", ["blob", "checkpoint"])
+def test_damaged_extent_rejected_without_allocating(tmp_path, via):
+    blob = bytearray(tensor_bytes(np.zeros((2, 3), dtype=np.float32)))
+    blob[13:17] = (0x7FFFFFFF).to_bytes(4, "little")
+    with pytest.raises(TensorFormatError, match="truncated"):
+        if via == "blob":
+            tensor_from_bytes(bytes(blob))
+        else:
+            path = tmp_path / "damaged.ckpt"
+            path.write_bytes(f"CKPT 1\ntensor x 0 {len(blob)}\nend\n".encode() + blob)
+            load_checkpoint(path)
 
 
 def test_unsupported_dtype_rejected():
@@ -139,11 +152,9 @@ def good_checkpoint(corrupt_dir) -> bytes:
 # raises a ValueError subclass, never IndexError, KeyError, struct.error or MemoryError.
 @settings(max_examples=200, deadline=None)
 @given(blob=_damaged(_GOOD_BLOB))
-def test_damaged_tensor_loads_or_raises_value_error(corrupt_dir, blob):
-    path = corrupt_dir / "damaged.tnsr"
-    path.write_bytes(blob)
+def test_damaged_tensor_loads_or_raises_value_error(blob):
     try:
-        load_tensor(path)
+        tensor_from_bytes(blob)
     except ValueError:
         pass
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import detection_loss_scalar
 from ssmdet.config import RunConfig
 from ssmdet.model import Detector, get_scale
-from ssmdet.tensor import Tensor, set_debug_checks
+from ssmdet.tensor import Tensor
 from ssmdet.train import (
     SgdMomentum,
     TrainingDiverged,
@@ -89,10 +89,9 @@ class TestDetectionLoss:
              [(1, (30.0, 20.0, 50.0, 44.0))]]
 
     @pytest.fixture(autouse=True)
-    def debug_checks(self):
-        set_debug_checks(True)
-        yield
-        set_debug_checks(False)
+    def finite_checks(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
 
     def _maps(self, seed):
         rng = np.random.default_rng(seed)
