@@ -1,10 +1,11 @@
 """Detector building blocks.
 
 Modules own their parameters (taped tensors) and running buffers, take an
-explicit numpy Generator for deterministic builds, and are immutable
-after construction: concurrent forward calls are safe, training updates
-are single-writer. Convolution weights initialize uniform in
-+-sqrt(1/fan_in), norm gains to 1, shifts to 0.
+explicit numpy Generator for deterministic builds. A forward in train mode
+moves batch norm's running statistics, so concurrent forward calls are safe
+only in eval mode or inside ``tensor.inference()``, where ``Detector.detect``
+runs them; training updates are single-writer. Convolution weights
+initialize uniform in +-sqrt(1/fan_in), norm gains to 1, shifts to 0.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class BatchNorm(Module):
 
     def forward(self, x):
         return ops.batch_norm(x, self.gain, self.shift, self.running_mean,
-                              self.running_var, self.training)
+                              self.running_var, self.training and not T.inferring())
 
 
 class LayerNorm(Module):

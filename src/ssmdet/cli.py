@@ -20,7 +20,7 @@ import numpy as np
 from . import bench, data
 from .config import ConfigError, RunConfig, load_config
 from .metrics import eval_map
-from .model import Detector, get_scale
+from .model import Detector, check_input_size, get_scale
 from .tensor import Tensor
 from .train import TrainingDiverged, train_toy
 from .verify import GRAD_CHECKS, run_grad_suite
@@ -52,6 +52,7 @@ def _build_model(cfg: RunConfig) -> Detector:
 def _cmd_check_shapes(args) -> int:
     cfg = _load_run_config(args)
     size = args.input_size
+    check_input_size(size, size)
     spec = get_scale(cfg.scale, cfg.num_classes, width_override=0.125)
     model = Detector(spec, seed=cfg.seed).eval()
     images = Tensor(np.zeros((1, 3, size, size), dtype=np.float32))
@@ -137,7 +138,7 @@ def _cmd_train_toy(args) -> int:
 
 def _cmd_infer(args) -> int:
     cfg = _load_run_config(args)
-    model = Detector.from_checkpoint(args.checkpoint).eval()
+    model = Detector.from_checkpoint(args.checkpoint)
     paths = [Path(p) for p in args.images]
 
     def run_one(path: Path):

@@ -38,8 +38,8 @@ class RunConfig:
     depth_override: float = 0.0
 
     def validate(self) -> "RunConfig":
-        if self.input_size % 32:
-            raise ConfigError(f"input_size {self.input_size} must be divisible by 32")
+        if self.input_size < 32 or self.input_size % 32:
+            raise ConfigError(f"input_size {self.input_size} must be positive and divisible by 32")
         if not self.lr_final < self.lr_initial:
             raise ConfigError(
                 f"lr_final {self.lr_final} must be smaller than lr_initial {self.lr_initial}")

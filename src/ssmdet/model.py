@@ -26,7 +26,7 @@ from .blocks import (
     SimVss,
     Stem,
 )
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, inference
 
 __all__ = [
     "CheckpointMismatch",
@@ -34,6 +34,7 @@ __all__ = [
     "Detector",
     "FeaturePyramid",
     "ScaleSpec",
+    "check_input_size",
     "decode",
     "get_scale",
 ]
@@ -100,6 +101,14 @@ def get_scale(name: str, num_classes: int = 3,
         depth=depth_override if depth_override is not None else depth,
         num_classes=num_classes,
     )
+
+
+def check_input_size(h: int, w: int) -> None:
+    """Reject an input height or width that is not a positive multiple of the
+    coarsest stride, 32."""
+    if h < 32 or w < 32 or h % 32 or w % 32:
+        pad = f"; pad by {(-h) % 32}x{(-w) % 32}" if h > 0 and w > 0 else ""
+        raise ShapeError(f"input {h}x{w} must be positive and divisible by 32{pad}")
 
 
 @dataclass
@@ -189,10 +198,7 @@ class Detector(Module):
             for c_level in (c3, c4, c5))
 
     def forward(self, images: Tensor):
-        h, w = images.shape[2:]
-        if h % 32 or w % 32:
-            raise ShapeError(
-                f"input {h}x{w} must be divisible by 32; pad by {(-h) % 32}x{(-w) % 32}")
+        check_input_size(*images.shape[2:])
         x = self.stem(images)
         b3 = self.csp3(self.down3(x))
         b4 = self.csp4(self.down4(b3))
@@ -211,12 +217,10 @@ class Detector(Module):
 
     # ---- inference ------------------------------------------------------
     def detect(self, images: Tensor, conf_threshold: float = 0.25) -> list[list[Detection]]:
-        was_training = self.training
-        self.eval()
-        try:
+        """Decoded detections per image, computed as in eval mode; the model is
+        not written, so concurrent calls on one model are safe."""
+        with inference():
             _, maps = self.forward(images)
-        finally:
-            self.train(was_training)
         frame = (images.shape[2], images.shape[3])
         out = []
         for i in range(images.shape[0]):
@@ -240,9 +244,7 @@ class Detector(Module):
 
     def _layer_table(self, input_size: int):
         """Rows (part, name, module, out_channels, out_hw, flops) in forward order."""
-        if input_size < 32 or input_size % 32:
-            raise ShapeError(
-                f"input {input_size}x{input_size} must be positive and divisible by 32")
+        check_input_size(input_size, input_size)
         c1, c2, c3, c4, c5 = self.spec.channels()
         rows = []
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, accumulate, concat, make_op
+from .tensor import ShapeError, Tensor, accumulate, concat, elementwise, make_op
 
 __all__ = [
     "batch_norm",
@@ -39,31 +39,19 @@ def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid_stable(x.data)
-
-    def rule(g):
-        accumulate(x, g * s * (1.0 - s))
-
-    return make_op(s, rule, x)
+    return elementwise(x, None, s, lambda g: g * s * (1.0 - s))
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     s = _sigmoid_stable(x.data)
-
-    def rule(g):
-        accumulate(x, g * (s + x.data * s * (1.0 - s)))
-
-    return make_op(x.data * s, rule, x)
+    return elementwise(x, None, x.data * s, lambda g: g * (s + x.data * s * (1.0 - s)))
 
 
 def softplus(x: Tensor) -> Tensor:
     # log(1 + e^x) without overflow; np.logaddexp is a scalar loop
     out = np.maximum(x.data, 0) + np.log1p(np.exp(-np.abs(x.data)))
-
-    def rule(g):
-        accumulate(x, g * _sigmoid_stable(x.data))
-
-    return make_op(out, rule, x)
+    return elementwise(x, None, out, lambda g: g * _sigmoid_stable(x.data))
 
 
 # ---- convolution ----------------------------------------------------------

@@ -9,14 +9,17 @@ a valid reverse-topological walk: each node fires exactly once, and
 gradients of fanned-out tensors accumulate additively. Backward consumes
 the tape: each node is dropped, with its output's gradient, as it fires.
 
-Forward evaluation with no active tape records nothing, so inference is
-cheap and safe to run concurrently. Tape construction and backward are
-single-writer per tape; the active-tape stack is thread-local.
+Forward evaluation with no active tape records nothing. Inside
+:func:`inference`, batch norm uses its running statistics whatever the
+modules' ``training`` flags say, so a forward there writes nothing and is
+safe to run concurrently. Tape construction and backward are single-writer
+per tape; the active-tape stack and the inference flag are thread-local.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ __all__ = [
     "accumulate",
     "backward",
     "concat",
+    "elementwise",
     "exp",
     "flip",
     "make_op",
@@ -54,6 +58,21 @@ def _tape_stack() -> list:
 def active_tape() -> "Tape | None":
     stack = _tape_stack()
     return stack[-1] if stack else None
+
+
+def inferring() -> bool:
+    """True inside :func:`inference` on this thread."""
+    return getattr(_TLS, "inference", False)
+
+
+@contextmanager
+def inference():
+    """Run this thread's forward passes as in eval mode, leaving the modules untouched."""
+    outer, _TLS.inference = inferring(), True
+    try:
+        yield
+    finally:
+        _TLS.inference = outer
 
 
 class Tape:
@@ -130,6 +149,48 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def elementwise(a: "Tensor", b, out: np.ndarray, da: Callable, db: Callable | None = None) -> "Tensor":
+    """Record ``out``, an elementwise function of ``a`` and ``b`` that may broadcast.
+
+    ``b`` is a Tensor, a constant or None. ``da(g)`` and ``db(g)`` turn the
+    output's gradient into each operand's contribution at the output's shape;
+    it is summed down to the operand's shape. Only a Tensor ``b`` takes a
+    ``db``, and an operand that does not require a gradient gets none.
+    """
+    if isinstance(b, Tensor):
+        _check_same_dtype(a, b)
+    else:
+        b = None
+
+    def rule(g):
+        if a.requires_grad:
+            accumulate(a, _unbroadcast(da(g), a.data.shape))
+        if b is not None and b.requires_grad:
+            accumulate(b, _unbroadcast(db(g), b.data.shape))
+
+    return make_op(out, rule, a, b)
+
+
+def _value(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _reduce(a: "Tensor", how: str, axis, keepdims: bool) -> "Tensor":
+    """``a.data.sum`` or ``a.data.mean`` over ``axis``; backward spreads ``g``
+    (``g / n`` for a mean of ``n`` values) evenly over the reduced axes."""
+    axes = _axis_tuple(axis, a.ndim)
+    out = getattr(a.data, how)(axis=axes if axis is not None else None, keepdims=keepdims)
+
+    def rule(g):
+        if how == "mean":
+            g = g / int(np.prod([a.data.shape[i] for i in axes]))
+        if not keepdims and a.ndim:
+            g = np.expand_dims(g, axes)
+        accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+
+    return make_op(out, rule, a)
+
+
 def _check_same_dtype(a: "Tensor", b: "Tensor") -> None:
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"dtype mismatch: {a.data.dtype} vs {b.data.dtype}")
@@ -147,6 +208,7 @@ class Tensor:
     """Dense multi-dimensional array with an optional gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad")
+    __array_ufunc__ = None     # ``array - tensor`` calls __rsub__, not numpy's object loop
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -183,129 +245,55 @@ class Tensor:
 
     # ---- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            _check_same_dtype(self, other)
-            a, b = self, other
-
-            def rule(g):
-                accumulate(a, _unbroadcast(g, a.data.shape))
-                accumulate(b, _unbroadcast(g, b.data.shape))
-
-            return make_op(a.data + b.data, rule, a, b)
-        a = self
-
-        def rule(g):
-            accumulate(a, _unbroadcast(g, a.data.shape))
-
-        return make_op(a.data + other, rule, a)
+        return elementwise(self, other, self.data + _value(other), lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-
-        def rule(g):
-            accumulate(a, -g)
-
-        return make_op(-a.data, rule, a)
+        return elementwise(self, None, -self.data, lambda g: -g)
 
     def __sub__(self, other):
-        return self + (-other)
+        return elementwise(self, other, self.data - _value(other), lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return elementwise(self, other, other - self.data, lambda g: -g)
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            _check_same_dtype(self, other)
-            a, b = self, other
-
-            def rule(g):
-                accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-                accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-            return make_op(a.data * b.data, rule, a, b)
-        a = self
-
-        def rule(g):
-            accumulate(a, _unbroadcast(g * other, a.data.shape))
-
-        return make_op(a.data * other, rule, a)
+        b = _value(other)
+        return elementwise(self, other, self.data * b, lambda g: g * b, lambda g: g * self.data)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            _check_same_dtype(self, other)
-            a, b = self, other
-
-            def rule(g):
-                accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-                accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-            return make_op(a.data / b.data, rule, a, b)
-        return self * (1.0 / other)
+        if not isinstance(other, Tensor):
+            return self * (1.0 / other)
+        a, b = self.data, other.data
+        return elementwise(self, other, a / b, lambda g: g / b, lambda g: -g * a / (b * b))
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a = self
-
-        def rule(g):
-            accumulate(a, g * (p * a.data ** (p - 1)))
-
-        return make_op(a.data ** p, rule, a)
+        return elementwise(self, None, self.data ** p, lambda g: g * (p * self.data ** (p - 1)))
 
     # ---- reductions ----------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
-        axes = _axis_tuple(axis, a.ndim)
-        out_data = a.data.sum(axis=axes if axis is not None else None, keepdims=keepdims)
-
-        def rule(g):
-            gg = g
-            if not keepdims and a.ndim:
-                gg = np.expand_dims(gg, axes)
-            accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
-
-        return make_op(out_data, rule, a)
+        return _reduce(self, "sum", axis, keepdims)
 
     def mean(self, axis=None, keepdims: bool = False):
-        a = self
-        axes = _axis_tuple(axis, a.ndim)
-        n = int(np.prod([a.data.shape[i] for i in axes])) if a.ndim else 1
-        out_data = a.data.mean(axis=axes if axis is not None else None, keepdims=keepdims)
-
-        def rule(g):
-            gg = g / n
-            if not keepdims and a.ndim:
-                gg = np.expand_dims(gg, axes)
-            accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
-
-        return make_op(out_data, rule, a)
+        return _reduce(self, "mean", axis, keepdims)
 
     # ---- structure -----------------------------------------------------
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        orig = a.data.shape
-
-        def rule(g):
-            accumulate(a, g.reshape(orig))
-
-        return make_op(a.data.reshape(shape), rule, a)
+        orig = self.data.shape
+        return make_op(self.data.reshape(shape), lambda g: accumulate(self, g.reshape(orig)), self)
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        a = self
         inv = tuple(np.argsort(axes))
-
-        def rule(g):
-            accumulate(a, g.transpose(inv))
-
-        return make_op(a.data.transpose(axes), rule, a)
+        return make_op(self.data.transpose(axes), lambda g: accumulate(self, g.transpose(inv)), self)
 
     def __getitem__(self, key):
         _validate_basic_key(key)
@@ -330,48 +318,26 @@ def _validate_basic_key(key) -> None:
 # ---- free functions ------------------------------------------------------
 
 def exp(x: Tensor) -> Tensor:
-    out_data = np.exp(x.data)
-
-    def rule(g):
-        accumulate(x, g * out_data)
-
-    return make_op(out_data, rule, x)
+    out = np.exp(x.data)
+    return elementwise(x, None, out, lambda g: g * out)
 
 
 def maximum(a: Tensor, b) -> Tensor:
     """Elementwise max; ties route their gradient to the first operand."""
-    bdata = b.data if isinstance(b, Tensor) else b
-    if isinstance(b, Tensor):
-        _check_same_dtype(a, b)
-    take_a = a.data >= bdata
-
-    def rule(g):
-        accumulate(a, _unbroadcast(g * take_a, a.data.shape))
-        if isinstance(b, Tensor):
-            accumulate(b, _unbroadcast(g * ~take_a, b.data.shape))
-
-    return make_op(np.maximum(a.data, bdata), rule, a, b)
+    bv = _value(b)
+    take_a = a.data >= bv
+    return elementwise(a, b, np.maximum(a.data, bv), lambda g: g * take_a, lambda g: g * ~take_a)
 
 
 def minimum(a: Tensor, b) -> Tensor:
-    bdata = b.data if isinstance(b, Tensor) else b
-    if isinstance(b, Tensor):
-        _check_same_dtype(a, b)
-    take_a = a.data <= bdata
-
-    def rule(g):
-        accumulate(a, _unbroadcast(g * take_a, a.data.shape))
-        if isinstance(b, Tensor):
-            accumulate(b, _unbroadcast(g * ~take_a, b.data.shape))
-
-    return make_op(np.minimum(a.data, bdata), rule, a, b)
+    bv = _value(b)
+    take_a = a.data <= bv
+    return elementwise(a, b, np.minimum(a.data, bv), lambda g: g * take_a, lambda g: g * ~take_a)
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
-    def rule(g):
-        accumulate(x, np.flip(g, axis=axis))
-
-    return make_op(np.ascontiguousarray(np.flip(x.data, axis=axis)), rule, x)
+    return make_op(np.ascontiguousarray(np.flip(x.data, axis=axis)),
+                   lambda g: accumulate(x, np.flip(g, axis=axis)), x)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

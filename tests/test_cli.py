@@ -44,14 +44,20 @@ def test_directory_for_input_file_exits_1(tmp_path, capsys, command):
     ["param-count", "--input-size", "16"],
     ["param-count", "--input-size", "40"],
     ["param-count", "--input-size", "-32"],
+    ["check-shapes", "--input-size", "0"],
+    ["check-shapes", "--input-size", "40"],
+    ["check-shapes", "--input-size", "-32"],
     ["scan-bench", "--lengths", "16", "--block-lens", "8", "--repeats", "0"],
 ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
 def test_bad_size_exits_1_with_one_error_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    want = {"param-count": f"input {argv[-1]}x{argv[-1]} must be positive and divisible by 32",
-            "scan-bench": "repeats 0 must be >= 1"}[argv[0]]
+    size = int(argv[-1])
+    pad = f"; pad by {-size % 32}x{-size % 32}" if size > 0 else ""
+    want = f"input {size}x{size} must be positive and divisible by 32{pad}"
+    if argv[0] == "scan-bench":
+        want = "repeats 0 must be >= 1"
     assert captured.err.splitlines() == [f"{argv[0]} error: {want}"]
 
 

@@ -33,6 +33,14 @@ def test_indivisible_input_size_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("size", [0, -32, 16])
+def test_input_size_below_32_rejected(tmp_path, size):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"input_size = {size}\n")
+    with pytest.raises(ConfigError, match="must be positive and divisible by 32"):
+        load_config(path)
+
+
 def test_lr_ordering_enforced(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("lr_initial = 0.0001\nlr_final = 0.01\n")

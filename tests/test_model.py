@@ -1,11 +1,15 @@
-"""Detector assembly: shapes, decode, accounting, checkpoints."""
+"""Detector assembly: shapes, decode, gradients, accounting, checkpoints."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from ssmdet.blocks import Conv2dLayer, conv_flops
 from ssmdet.model import Detector, ScaleSpec, decode, get_scale
-from ssmdet.tensor import ShapeError, Tensor
+from ssmdet.tensor import ShapeError, Tape, Tensor
+from ssmdet.train import detection_loss
 
 TOY = get_scale("n", width_override=0.125)
 
@@ -62,6 +66,12 @@ class TestForward:
         with pytest.raises(ShapeError, match="divisible by 32"):
             toy_model(x)
 
+    @pytest.mark.parametrize("hw", [(0, 0), (0, 64), (64, 16)])
+    def test_input_below_32_rejected(self, toy_model, hw):
+        x = Tensor(np.zeros((1, 3) + hw, dtype=np.float32))
+        with pytest.raises(ShapeError, match=f"input {hw[0]}x{hw[1]} must be positive"):
+            toy_model(x)
+
     def test_forward_deterministic(self, toy_model):
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
@@ -77,6 +87,86 @@ class TestForward:
         _, maps = toy_model(x)
         for _, reg in maps:
             assert np.all(reg.data >= 0.0)
+
+
+class TestDetect:
+    def test_concurrent_detect_leaves_model_untouched(self):
+        model = Detector(TOY, seed=0)
+        serial = Detector(TOY, seed=0).eval()
+        buffers = {name: b.copy() for name, b in model.named_buffers()}
+        x = Tensor(np.random.default_rng(0).uniform(0.0, 1.0, (1, 3, 64, 64)).astype(np.float32))
+        want = serial.detect(x, 0.001)
+        got = [[], []]
+
+        def run(k):
+            for _ in range(40):
+                got[k].append(model.detect(x, 0.001))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)      # switch threads often, inside the forward
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(calls) for calls in got] == [40, 40]
+        assert all(dets == want for calls in got for dets in calls)
+        assert model.training
+        assert all(np.array_equal(b, buffers[name]) for name, b in model.named_buffers())
+
+
+class TestDetectorGradient:
+    """One central-difference directional check per `_layer_table` row.
+
+    A desk detector in float64 and train mode, 2 images at 64 px (the
+    stride-32 map is 2x2, so train-mode batch norm is well conditioned),
+    and one box on each level, so every head's box branch has a gradient.
+    """
+
+    EPS = 1e-6
+    TOL = 1e-5
+    FLOOR = 1e-8     # a bias ahead of a batch norm has an exactly zero gradient
+
+    def test_every_row_matches_central_difference(self):
+        model = Detector(TOY, seed=0, dtype=np.float64)
+        rng = np.random.default_rng(1)
+        images = Tensor(rng.uniform(0.0, 1.0, (2, 3, 64, 64)))
+        # ~32, ~64 and ~128 px boxes land on the stride 8, 16 and 32 levels
+        boxes = [[(0, (4.0, 6.0, 36.0, 38.0)), (1, (2.0, 0.0, 62.0, 64.0)),
+                  (2, (-30.0, -34.0, 94.0, 96.0))],
+                 [(1, (20.0, 18.0, 50.0, 52.0))]]
+
+        def loss():
+            _, maps = model(images)
+            return detection_loss(maps, boxes, model.STRIDES, TOY.num_classes)[0]
+
+        with Tape() as tape:
+            total = loss()
+        tape.backward(total)
+        bad = []
+        for _, name, module, *_ in model._layer_table(64):
+            params = module.parameters()
+            v = [rng.standard_normal(p.shape) for p in params]
+            grads = [np.zeros(p.shape) if p.grad is None else p.grad for p in params]
+            analytic = sum(float(np.vdot(g, d)) for g, d in zip(grads, v))
+            scale = np.sqrt(sum(np.vdot(g, g) for g in grads) * sum(np.vdot(d, d) for d in v))
+            saved = [p.data.copy() for p in params]
+            values = []
+            for sign in (1.0, -1.0):
+                for p, p0, d in zip(params, saved, v):
+                    p.data[...] = p0 + sign * self.EPS * d
+                values.append(loss().item())
+            for p, p0 in zip(params, saved):
+                p.data[...] = p0
+            numeric = (values[0] - values[1]) / (2.0 * self.EPS)
+            err = abs(numeric - analytic) / max(scale, self.FLOOR)
+            if err > self.TOL:
+                bad.append(f"{name}: tape {analytic:.9g} vs difference {numeric:.9g} (err {err:.2e})")
+        assert not bad, bad
 
 
 def _single_level_maps(grid, stride, nc=2, fill_logit=-40.0):

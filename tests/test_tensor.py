@@ -146,6 +146,71 @@ class TestArithmetic:
         assert np.array_equal(a.grad, [2.0, 1.0])
         assert np.array_equal(b.grad, [0.0, 1.0])
 
+    def test_subtraction_records_one_node(self):
+        # `a - b` and `c - a` took a negation node and an addition node before
+        a = Tensor([3.0, 1.0], requires_grad=True)
+        b = Tensor([1.0, 5.0], requires_grad=True)
+        for diff in (lambda: a - b, lambda: a - 2.0, lambda: 2.0 - a):
+            with Tape() as tape:
+                diff()
+            assert len(tape) == 1
+
+    def test_subtraction_gradients_broadcast(self):
+        with Tape() as tape:
+            a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+            b = Tensor(np.ones((1, 3)), requires_grad=True)
+            loss = ((a - b) * 2.0 + (1.0 - b) * 3.0).sum()
+        assert (a - b).data.tolist() == [[-1.0, 0.0, 1.0], [2.0, 3.0, 4.0]]
+        tape.backward(loss)
+        assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+        # b's column is used twice by `a - b` and, broadcast by the sum, twice by `1 - b`
+        assert np.array_equal(b.grad, [[-10.0, -10.0, -10.0]])
+
+    def test_array_on_the_left_is_a_constant_operand(self):
+        c = np.array([[10.0], [20.0]])
+        with Tape() as tape:
+            x = Tensor([1.0, 2.0], requires_grad=True)
+            y = c - x
+            loss = (y * (c + x) * (c * x)).sum()
+        assert isinstance(y, Tensor) and y.data.tolist() == [[9.0, 8.0], [19.0, 18.0]]
+        assert len(tape) == 6
+        tape.backward(loss)
+        # d/dx of (c^2 - x^2) c x summed over c = 10, 20
+        want = sum(ci * (ci * ci - 3.0 * np.array([1.0, 2.0]) ** 2) for ci in (10.0, 20.0))
+        assert np.allclose(x.grad, want, rtol=1e-15, atol=0.0)
+
+    def test_max_min_with_broadcast_constant(self):
+        c = np.array([[2.0], [4.0]])
+        with Tape() as tape:
+            x = Tensor([1.0, 3.0, 5.0], requires_grad=True)
+            loss = (maximum(x, c) * 10.0 + minimum(x, c) - (x - c)).sum()
+        assert maximum(x, c).data.tolist() == [[2.0, 3.0, 5.0], [4.0, 4.0, 5.0]]
+        tape.backward(loss)
+        # the max takes x in (0, 1), (0, 2), (1, 2); the min in (0, 0), (1, 0), (1, 1)
+        assert np.array_equal(x.grad, [2.0 - 2.0, 11.0 - 2.0, 20.0 - 2.0])
+
+    def test_operand_without_grad_keeps_none(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        for make in (lambda b: a - b, lambda b: b - a, lambda b: maximum(a, b),
+                     lambda b: minimum(b, a), lambda b: a * b, lambda b: b / a):
+            b = Tensor([2.0, 1.0])
+            a.grad = None
+            with Tape() as tape:
+                loss = make(b).sum()
+            tape.backward(loss)
+            assert b.grad is None
+            assert a.grad is not None
+
+    @pytest.mark.parametrize("op", ["sub", "maximum", "minimum"])
+    def test_dtype_mismatch_rejected_by(self, op):
+        a = Tensor(np.ones(2, dtype=np.float32))
+        b = Tensor(np.ones(2, dtype=np.float64))
+        fn = {"sub": lambda x, y: x - y, "maximum": maximum, "minimum": minimum}[op]
+        with pytest.raises(ShapeError, match="dtype mismatch"):
+            fn(a, b)
+        with pytest.raises(ShapeError, match="dtype mismatch"):
+            fn(b, a)
+
 
 class TestStructure:
     def test_reshape_transpose_flip_roundtrip(self):
