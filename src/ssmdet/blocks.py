@@ -1,7 +1,8 @@
 """Detector building blocks.
 
 Modules own their parameters (taped tensors) and running buffers, take an
-explicit numpy Generator for deterministic builds. A forward in train mode
+explicit numpy Generator for deterministic builds and hold float32 values;
+``Module.astype`` casts a whole module tree. A forward in train mode
 moves batch norm's running statistics, so concurrent forward calls are safe
 only in eval mode or inside ``tensor.inference()``, where ``Detector.detect``
 runs them; training updates are single-writer. Convolution weights
@@ -41,8 +42,8 @@ __all__ = [
 ]
 
 
-def parameter(data, dtype=None) -> Tensor:
-    t = Tensor(data, dtype=dtype)
+def parameter(data) -> Tensor:
+    t = Tensor(data, dtype=np.float32)
     t.requires_grad = True
     return t
 
@@ -81,6 +82,16 @@ class Module:
             yield prefix + name, b
         for name, child in self._children.items():
             yield from child.named_buffers(prefix + name + ".")
+
+    def astype(self, dtype):
+        """Cast the parameters in place and the buffers of this module tree to ``dtype``."""
+        for p in self._params.values():
+            p.data = p.data.astype(dtype, copy=False)
+        for name, b in self._buffers.items():
+            self.register_buffer(name, b.astype(dtype, copy=False))
+        for child in self._children.values():
+            child.astype(dtype)
+        return self
 
     def num_params(self) -> int:
         return sum(int(p.data.size) for _, p in self.named_parameters())
@@ -136,13 +147,7 @@ class ModuleList(Module):
         return self._items[i]
 
 
-# ---- init + accounting helpers ---------------------------------------------
-
-def _conv_weight(rng, c_out, c_in_per_group, kh, kw, dtype) -> Tensor:
-    fan_in = c_in_per_group * kh * kw
-    bound = math.sqrt(1.0 / fan_in)
-    return parameter(rng.uniform(-bound, bound, (c_out, c_in_per_group, kh, kw)), dtype)
-
+# ---- accounting helper ------------------------------------------------------
 
 def conv_flops(c_in, c_out, kernel, groups, out_hw) -> int:
     """Multiply-adds x2 for one convolution; norms/activations ignored."""
@@ -156,14 +161,14 @@ class Conv2dLayer(Module):
     """Square-kernel conv with "same" padding; every conv unit extends it and
     inherits its weight init, geometry, conv call and FLOP count."""
 
-    def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1, bias=True,
-                 dtype=np.float32):
+    def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1, bias=True):
         super().__init__()
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride, self.groups = kernel, stride, groups
         self.pad = kernel // 2
-        self.weight = _conv_weight(rng, c_out, c_in // groups, kernel, kernel, dtype)
-        self.bias = parameter(np.zeros(c_out), dtype) if bias else None
+        bound = math.sqrt(1.0 / ((c_in // groups) * kernel * kernel))
+        self.weight = parameter(rng.uniform(-bound, bound, (c_out, c_in // groups, kernel, kernel)))
+        self.bias = parameter(np.zeros(c_out)) if bias else None
 
     def forward(self, x):
         return ops.conv2d(x, self.weight, self.bias, self.stride, self.pad, self.groups)
@@ -174,12 +179,12 @@ class Conv2dLayer(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, channels, dtype=np.float32):
+    def __init__(self, channels):
         super().__init__()
-        self.gain = parameter(np.ones(channels), dtype)
-        self.shift = parameter(np.zeros(channels), dtype)
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gain = parameter(np.ones(channels))
+        self.shift = parameter(np.zeros(channels))
+        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
     def forward(self, x):
         return ops.batch_norm(x, self.gain, self.shift, self.running_mean,
@@ -187,10 +192,10 @@ class BatchNorm(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, channels, dtype=np.float32):
+    def __init__(self, channels):
         super().__init__()
-        self.gain = parameter(np.ones(channels), dtype)
-        self.shift = parameter(np.zeros(channels), dtype)
+        self.gain = parameter(np.ones(channels))
+        self.shift = parameter(np.zeros(channels))
 
     def forward(self, x):
         return ops.layer_norm(x, self.gain, self.shift)
@@ -199,9 +204,9 @@ class LayerNorm(Module):
 class ConvBnAct(Conv2dLayer):
     """Conv (no bias) -> batch norm -> SiLU, the detector's standard unit."""
 
-    def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1, dtype=np.float32):
-        super().__init__(rng, c_in, c_out, kernel, stride, groups, bias=False, dtype=dtype)
-        self.norm = BatchNorm(c_out, dtype=dtype)
+    def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1):
+        super().__init__(rng, c_in, c_out, kernel, stride, groups, bias=False)
+        self.norm = BatchNorm(c_out)
 
     def forward(self, x):
         return ops.silu(self.norm(super().forward(x)))
@@ -256,7 +261,7 @@ class EcaConv(Conv2dLayer):
     shuffle_groups = 2
 
     def __init__(self, rng, c_in, c_out, kernel=3, stride=1, sigma=0.5,
-                 attn_kernel=3, adaptive=False, bias=True, dtype=np.float32):
+                 attn_kernel=3, adaptive=False, bias=True):
         if adaptive:
             sigma = strip_ratio(c_out)
         if not 0.0 < sigma <= 1.0:
@@ -269,10 +274,10 @@ class EcaConv(Conv2dLayer):
         if c_out % self.shuffle_groups:
             raise ShapeError(f"EcaConv: channels {c_out} not divisible by "
                              f"shuffle groups {self.shuffle_groups}")
-        super().__init__(rng, c_in, c_out, kernel, stride, bias=bias, dtype=dtype)
+        super().__init__(rng, c_in, c_out, kernel, stride, bias=bias)
         self.sigma, self.c_hat, self.attn_k = sigma, c_hat, attn_kernel
         self.attn_weight = parameter(
-            rng.uniform(-1.0, 1.0, (1, 1, attn_kernel)) / math.sqrt(attn_kernel), dtype)
+            rng.uniform(-1.0, 1.0, (1, 1, attn_kernel)) / math.sqrt(attn_kernel))
 
     def forward(self, x):
         y = super().forward(x)
@@ -295,10 +300,10 @@ class EcaConv(Conv2dLayer):
 class EcaConvBlock(Module):
     """EcaConv wrapped with the BN + SiLU convention used in the network."""
 
-    def __init__(self, rng, c_in, c_out, kernel=3, stride=1, dtype=np.float32):
+    def __init__(self, rng, c_in, c_out, kernel=3, stride=1):
         super().__init__()
-        self.eca = EcaConv(rng, c_in, c_out, kernel, stride, bias=False, dtype=dtype)
-        self.norm = BatchNorm(c_out, dtype=dtype)
+        self.eca = EcaConv(rng, c_in, c_out, kernel, stride, bias=False)
+        self.norm = BatchNorm(c_out)
 
     def forward(self, x):
         return ops.silu(self.norm(self.eca(x)))
@@ -312,18 +317,16 @@ class EcaCsp(Module):
     of the input; the merge is concat -> channel shuffle -> 1x1 conv.
     """
 
-    def __init__(self, rng, c_in, c_out, n=1, dtype=np.float32):
+    def __init__(self, rng, c_in, c_out, n=1):
         super().__init__()
         if c_out % 2:
             raise ShapeError(f"EcaCsp: output channels {c_out} must be even")
         c_mid = c_out // 2
-        self.pre = ConvBnAct(rng, c_in, c_mid, 1, dtype=dtype)
-        self.units = ModuleList(
-            EcaConvBlock(rng, c_mid, c_mid, 3, 1, dtype=dtype)
-            for _ in range(2 * n))
-        self.dw = ConvBnAct(rng, c_in, c_in, 3, groups=c_in, dtype=dtype)
-        self.pw = ConvBnAct(rng, c_in, c_mid, 1, dtype=dtype)
-        self.post = ConvBnAct(rng, 2 * c_mid, c_out, 1, dtype=dtype)
+        self.pre = ConvBnAct(rng, c_in, c_mid, 1)
+        self.units = ModuleList(EcaConvBlock(rng, c_mid, c_mid, 3, 1) for _ in range(2 * n))
+        self.dw = ConvBnAct(rng, c_in, c_in, 3, groups=c_in)
+        self.pw = ConvBnAct(rng, c_in, c_mid, 1)
+        self.post = ConvBnAct(rng, 2 * c_mid, c_out, 1)
 
     def forward(self, x):
         m = self.pre(x)
@@ -339,10 +342,10 @@ class EcaCsp(Module):
 class Ffn(Module):
     """Two 1x1 convs with a SiLU in between; the hidden width is twice the input's."""
 
-    def __init__(self, rng, channels, dtype=np.float32):
+    def __init__(self, rng, channels):
         super().__init__()
-        self.expand = Conv2dLayer(rng, channels, 2 * channels, 1, dtype=dtype)
-        self.project = Conv2dLayer(rng, 2 * channels, channels, 1, dtype=dtype)
+        self.expand = Conv2dLayer(rng, channels, 2 * channels, 1)
+        self.project = Conv2dLayer(rng, 2 * channels, channels, 1)
 
     def forward(self, x):
         return self.project(ops.silu(self.expand(x)))
@@ -362,35 +365,33 @@ class Vss(Module):
 
     DIRECTIONS = 4
 
-    def __init__(self, rng, channels, state_size=16, ssm_ratio=2.0, dtype=np.float32):
+    def __init__(self, rng, channels, state_size=16, ssm_ratio=2.0):
         super().__init__()
         d_inner = max(1, int(round(channels * ssm_ratio)))
         self.d_inner, self.state_size = d_inner, state_size
         self.dt_rank = max(1, d_inner // 16)
         r, n, k = self.dt_rank, state_size, self.DIRECTIONS
 
-        self.in_proj = Conv2dLayer(rng, channels, 2 * d_inner, 1, dtype=dtype)
-        self.dw_weight = _conv_weight(rng, d_inner, 1, 3, 3, dtype)
-        self.dw_bias = parameter(np.zeros(d_inner), dtype)
+        self.in_proj = Conv2dLayer(rng, channels, 2 * d_inner, 1)
+        self.dw = Conv2dLayer(rng, d_inner, d_inner, 3, groups=d_inner)
 
         bound = math.sqrt(1.0 / d_inner)
-        self.x_proj_w = parameter(rng.uniform(-bound, bound, (k, r + 2 * n, d_inner)), dtype)
+        self.x_proj_w = parameter(rng.uniform(-bound, bound, (k, r + 2 * n, d_inner)))
         dt_bound = math.sqrt(1.0 / r)
-        self.dt_w = parameter(rng.uniform(-dt_bound, dt_bound, (k, d_inner, r)), dtype)
+        self.dt_w = parameter(rng.uniform(-dt_bound, dt_bound, (k, d_inner, r)))
         dt_init = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), (k, d_inner)))
-        self.dt_b = parameter(np.log(np.expm1(dt_init)), dtype)
+        self.dt_b = parameter(np.log(np.expm1(dt_init)))
         a_row = np.log(np.arange(1, n + 1, dtype=np.float64))
-        self.A_log = parameter(np.tile(a_row, (k, d_inner, 1)), dtype)
-        self.skip = parameter(np.ones((k, d_inner)), dtype)
+        self.A_log = parameter(np.tile(a_row, (k, d_inner, 1)))
+        self.skip = parameter(np.ones((k, d_inner)))
 
-        self.ln = LayerNorm(d_inner, dtype=dtype)
-        self.out_proj = Conv2dLayer(rng, d_inner, channels, 1, dtype=dtype)
+        self.ln = LayerNorm(d_inner)
+        self.out_proj = Conv2dLayer(rng, d_inner, channels, 1)
 
     def forward(self, x):
         n_batch, _, h, w = x.shape
         u, z = ops.split_channels(self.in_proj(x), [self.d_inner, self.d_inner])
-        u = ops.silu(ops.conv2d(u, self.dw_weight, self.dw_bias,
-                                stride=1, padding=1, groups=self.d_inner))
+        u = ops.silu(self.dw(u))
         r, ns = self.dt_rank, self.state_size
         outs = []
         for k, seq in enumerate(cross_scan(u)):
@@ -408,8 +409,7 @@ class Vss(Module):
     def flops(self, hw):
         h, w = hw
         length, d, n, r = h * w, self.d_inner, self.state_size, self.dt_rank
-        total = super().flops(hw)[0]                # in_proj, out_proj
-        total += conv_flops(d, d, 3, d, hw)
+        total = super().flops(hw)[0]                # in_proj, dw, out_proj
         per_dir = 2 * length * d * (r + 2 * n)      # x_proj
         per_dir += 2 * length * r * d               # dt projection
         per_dir += 3 * 2 * length * d * n           # state, input, output terms
@@ -426,17 +426,17 @@ class SimVss(Module):
     projections.
     """
 
-    def __init__(self, rng, channels, state_size=16, ssm_ratio=2.0, dtype=np.float32):
+    def __init__(self, rng, channels, state_size=16, ssm_ratio=2.0):
         super().__init__()
         if channels % 2:
             raise ShapeError(f"SimVss: channels {channels} must be even to split")
         self.c_mid = channels // 2
-        self.in_proj = ConvBnAct(rng, channels, channels, 1, dtype=dtype)
-        self.ln = LayerNorm(self.c_mid, dtype=dtype)
-        self.vss = Vss(rng, self.c_mid, state_size, ssm_ratio, dtype=dtype)
-        self.bn = BatchNorm(self.c_mid, dtype=dtype)
-        self.ffn = Ffn(rng, self.c_mid, dtype=dtype)
-        self.out_proj = Conv2dLayer(rng, channels, channels, 1, dtype=dtype)
+        self.in_proj = ConvBnAct(rng, channels, channels, 1)
+        self.ln = LayerNorm(self.c_mid)
+        self.vss = Vss(rng, self.c_mid, state_size, ssm_ratio)
+        self.bn = BatchNorm(self.c_mid)
+        self.ffn = Ffn(rng, self.c_mid)
+        self.out_proj = Conv2dLayer(rng, channels, channels, 1)
 
     def forward(self, x):
         t = self.in_proj(x)
@@ -449,10 +449,10 @@ class SimVss(Module):
 class Stem(Module):
     """Two stride-2 conv+BN+SiLU units: [N,3,H,W] -> [N,c_out,H/4,W/4]."""
 
-    def __init__(self, rng, c_in, c_hidden, c_out, dtype=np.float32):
+    def __init__(self, rng, c_in, c_hidden, c_out):
         super().__init__()
-        self.conv1 = ConvBnAct(rng, c_in, c_hidden, 3, stride=2, dtype=dtype)
-        self.conv2 = ConvBnAct(rng, c_hidden, c_out, 3, stride=2, dtype=dtype)
+        self.conv1 = ConvBnAct(rng, c_in, c_hidden, 3, stride=2)
+        self.conv2 = ConvBnAct(rng, c_hidden, c_out, 3, stride=2)
 
     def forward(self, images):
         h, w = images.shape[2:]

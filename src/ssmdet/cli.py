@@ -73,6 +73,8 @@ def _cmd_grad_check(args) -> int:
     if unknown:
         print(f"grad-check error=unknown-blocks {','.join(unknown)}")
         return 2
+    if args.seeds < 1:
+        raise ValueError(f"seeds {args.seeds} must be >= 1")
     results = run_grad_suite(names, seeds=range(args.seeds))
     failed = 0
     for name, reports in results.items():

@@ -128,22 +128,22 @@ class Detection:
 class Head(Module):
     """Decoupled classification / box-distance branches for one level."""
 
-    def __init__(self, rng, c_in, c_hidden, num_classes, dtype=np.float32):
+    def __init__(self, rng, c_in, c_hidden, num_classes):
         super().__init__()
         self.num_classes = num_classes
         self.cls_stack = ModuleList([
-            ConvBnAct(rng, c_in, c_hidden, 3, dtype=dtype),
-            ConvBnAct(rng, c_hidden, c_hidden, 3, dtype=dtype),
+            ConvBnAct(rng, c_in, c_hidden, 3),
+            ConvBnAct(rng, c_hidden, c_hidden, 3),
         ])
-        self.cls_out = Conv2dLayer(rng, c_hidden, num_classes, 1, dtype=dtype)
+        self.cls_out = Conv2dLayer(rng, c_hidden, num_classes, 1)
         # start every cell near a 1% objectness prior so the sparse positive
         # cells carry the early gradient signal instead of the background
         self.cls_out.bias.data[:] = -math.log(99.0)
         self.reg_stack = ModuleList([
-            ConvBnAct(rng, c_in, c_hidden, 3, dtype=dtype),
-            ConvBnAct(rng, c_hidden, c_hidden, 3, dtype=dtype),
+            ConvBnAct(rng, c_in, c_hidden, 3),
+            ConvBnAct(rng, c_hidden, c_hidden, 3),
         ])
-        self.reg_out = Conv2dLayer(rng, c_hidden, 4, 1, dtype=dtype)
+        self.reg_out = Conv2dLayer(rng, c_hidden, 4, 1)
 
     def forward(self, x):
         c = x
@@ -165,37 +165,41 @@ class Detector(Module):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.spec = spec
-        self.dtype = dtype
         c1, c2, c3, c4, c5 = spec.channels()
         n3, n4, n5 = spec.depths()
         nn = spec.neck_depth()
-        fuse_kw = dict(ssm_ratio=_SSM_RATIO, dtype=dtype)
 
-        self.stem = Stem(rng, 3, c1, c2, dtype=dtype)
-        self.down3 = EcaConvBlock(rng, c2, c3, 3, 2, dtype=dtype)
-        self.csp3 = EcaCsp(rng, c3, c3, n3, dtype=dtype)
-        self.down4 = EcaConvBlock(rng, c3, c4, 3, 2, dtype=dtype)
-        self.csp4 = EcaCsp(rng, c4, c4, n4, dtype=dtype)
-        self.down5 = EcaConvBlock(rng, c4, c5, 3, 2, dtype=dtype)
-        self.csp5 = EcaCsp(rng, c5, c5, n5, dtype=dtype)
+        self.stem = Stem(rng, 3, c1, c2)
+        self.down3 = EcaConvBlock(rng, c2, c3, 3, 2)
+        self.csp3 = EcaCsp(rng, c3, c3, n3)
+        self.down4 = EcaConvBlock(rng, c3, c4, 3, 2)
+        self.csp4 = EcaCsp(rng, c4, c4, n4)
+        self.down5 = EcaConvBlock(rng, c4, c5, 3, 2)
+        self.csp5 = EcaCsp(rng, c5, c5, n5)
 
-        self.fuse3 = SimVss(rng, c3, **fuse_kw)
-        self.fuse4 = SimVss(rng, c4, **fuse_kw)
-        self.fuse5 = SimVss(rng, c5, **fuse_kw)
+        self.fuse3 = SimVss(rng, c3, ssm_ratio=_SSM_RATIO)
+        self.fuse4 = SimVss(rng, c4, ssm_ratio=_SSM_RATIO)
+        self.fuse5 = SimVss(rng, c5, ssm_ratio=_SSM_RATIO)
 
-        self.lat5 = ConvBnAct(rng, c5, c4, 1, dtype=dtype)
-        self.csp_t4 = EcaCsp(rng, 2 * c4, c4, nn, dtype=dtype)
-        self.lat4 = ConvBnAct(rng, c4, c3, 1, dtype=dtype)
-        self.csp_t3 = EcaCsp(rng, 2 * c3, c3, nn, dtype=dtype)
-        self.down_n3 = ConvBnAct(rng, c3, c3, 3, 2, dtype=dtype)
-        self.csp_n4 = EcaCsp(rng, c3 + c4, c4, nn, dtype=dtype)
-        self.down_n4 = ConvBnAct(rng, c4, c4, 3, 2, dtype=dtype)
-        self.csp_n5 = EcaCsp(rng, c4 + c5, c5, nn, dtype=dtype)
+        self.lat5 = ConvBnAct(rng, c5, c4, 1)
+        self.csp_t4 = EcaCsp(rng, 2 * c4, c4, nn)
+        self.lat4 = ConvBnAct(rng, c4, c3, 1)
+        self.csp_t3 = EcaCsp(rng, 2 * c3, c3, nn)
+        self.down_n3 = ConvBnAct(rng, c3, c3, 3, 2)
+        self.csp_n4 = EcaCsp(rng, c3 + c4, c4, nn)
+        self.down_n4 = ConvBnAct(rng, c4, c4, 3, 2)
+        self.csp_n5 = EcaCsp(rng, c4 + c5, c5, nn)
 
         head_width = c3
         self.heads = ModuleList(
-            Head(rng, c_level, head_width, spec.num_classes, dtype=dtype)
+            Head(rng, c_level, head_width, spec.num_classes)
             for c_level in (c3, c4, c5))
+        self.astype(dtype)
+
+    @property
+    def dtype(self):
+        """The parameters' float type, read from the stem's first weight."""
+        return self.stem.conv1.weight.data.dtype
 
     def forward(self, images: Tensor):
         check_input_size(*images.shape[2:])

@@ -107,8 +107,8 @@ def _box_iou_loss(reg_map: Tensor, stride: int, gt: np.ndarray):
     """(1 - IoU) between each cell's decoded box and ``gt`` ([B, 4, h, w])."""
     cy, cx = (np.indices(reg_map.shape[2:], dtype=reg_map.dtype) + 0.5) * stride
     d = reg_map * float(stride)
-    x1 = -d[:, 0:1] + cx
-    y1 = -d[:, 1:2] + cy
+    x1 = cx - d[:, 0:1]
+    y1 = cy - d[:, 1:2]
     x2 = d[:, 2:3] + cx
     y2 = d[:, 3:4] + cy
     gx1, gy1, gx2, gy2 = gt[:, 0:1], gt[:, 1:2], gt[:, 2:3], gt[:, 3:4]

@@ -106,69 +106,21 @@ def _check_scan(seed, **kw):
         [x, delta, a_diag, b_seq, p_seq, q], **kw)
 
 
-def _block_inputs(module, x, names):
-    tensors = dict(module.named_parameters())
-    return [x] + [tensors[n] for n in names]
+def _check_block(build, x_shape, names, readout=lambda y: y):
+    """A check that builds a block, casts it to float64, draws ``x`` of
+    ``x_shape`` and checks ``x`` plus the named parameters through ``readout``."""
+    def check(seed, **kw):
+        rng = np.random.default_rng(seed)
+        m = build(rng).astype(_F64)
+        x = _t(rng, *x_shape)
+        params = dict(m.named_parameters())
+        return grad_check(lambda *a: readout(m(a[0])), [x] + [params[n] for n in names], **kw)
+    return check
 
 
-def _check_eca_conv(seed, **kw):
-    rng = np.random.default_rng(seed)
-    m = EcaConv(rng, 4, 8, dtype=_F64)
-    x = _t(rng, 1, 4, 5, 5)
-    return grad_check(lambda *a: m(a[0]),
-                      _block_inputs(m, x, ["weight", "attn_weight", "bias"]), **kw)
-
-
-def _check_eca_csp(seed, **kw):
-    rng = np.random.default_rng(seed)
-    m = EcaCsp(rng, 8, 8, n=1, dtype=_F64).train()
-    x = _t(rng, 1, 8, 6, 6)
-    return grad_check(lambda *a: m(a[0]),
-                      _block_inputs(m, x, ["pre.weight", "units.0.eca.weight"]), **kw)
-
-
-def _check_ffn(seed, **kw):
-    rng = np.random.default_rng(seed)
-    m = Ffn(rng, 6, dtype=_F64)
-    x = _t(rng, 2, 6, 3, 3)
-    return grad_check(lambda *a: m(a[0]),
-                      _block_inputs(m, x, ["expand.weight", "project.weight"]), **kw)
-
-
-def _check_vss(seed, **kw):
-    rng = np.random.default_rng(seed)
-    m = Vss(rng, 4, state_size=4, dtype=_F64)
-    x = _t(rng, 1, 4, 4, 4)
-    return grad_check(lambda *a: m(a[0]),
-                      _block_inputs(m, x, ["A_log", "x_proj_w", "out_proj.weight"]), **kw)
-
-
-def _check_simvss(seed, **kw):
-    rng = np.random.default_rng(seed)
-    m = SimVss(rng, 8, state_size=4, dtype=_F64).train()
-    x = _t(rng, 1, 8, 4, 4)
-    return grad_check(lambda *a: m(a[0]),
-                      _block_inputs(m, x, ["vss.skip", "out_proj.weight"]), **kw)
-
-
-def _check_head(seed, **kw):
-    rng = np.random.default_rng(seed)
-    m = Head(rng, 6, 6, num_classes=3, dtype=_F64).train()
-    x = _t(rng, 1, 6, 4, 4)
-
-    def closure(*a):
-        cls_map, reg_map = m(a[0])
-        return cls_map + reg_map.sum(axis=1, keepdims=True)
-
-    return grad_check(closure, _block_inputs(m, x, ["cls_out.weight", "reg_out.weight"]), **kw)
-
-
-def _check_eca_conv_block(seed, **kw):
-    rng = np.random.default_rng(seed)
-    m = EcaConvBlock(rng, 4, 6, stride=2, dtype=_F64).train()
-    x = _t(rng, 2, 4, 6, 6)
-    return grad_check(lambda *a: m(a[0]),
-                      _block_inputs(m, x, ["eca.weight", "norm.gain"]), **kw)
+def _head_readout(maps):
+    cls_map, reg_map = maps
+    return cls_map + reg_map.sum(axis=1, keepdims=True)
 
 
 def _check_detection_loss(seed, **kw):
@@ -204,13 +156,20 @@ GRAD_CHECKS = {
     "shuffle_split": _check_shuffle_split,
     "linear": _check_linear,
     "scan": _check_scan,
-    "eca_conv": _check_eca_conv,
-    "eca_conv_block": _check_eca_conv_block,
-    "eca_csp": _check_eca_csp,
-    "ffn": _check_ffn,
-    "vss": _check_vss,
-    "simvss": _check_simvss,
-    "head": _check_head,
+    "eca_conv": _check_block(lambda rng: EcaConv(rng, 4, 8), (1, 4, 5, 5),
+                             ["weight", "attn_weight", "bias"]),
+    "eca_conv_block": _check_block(lambda rng: EcaConvBlock(rng, 4, 6, stride=2), (2, 4, 6, 6),
+                                   ["eca.weight", "norm.gain"]),
+    "eca_csp": _check_block(lambda rng: EcaCsp(rng, 8, 8, n=1), (1, 8, 6, 6),
+                            ["pre.weight", "units.0.eca.weight"]),
+    "ffn": _check_block(lambda rng: Ffn(rng, 6), (2, 6, 3, 3),
+                        ["expand.weight", "project.weight"]),
+    "vss": _check_block(lambda rng: Vss(rng, 4, state_size=4), (1, 4, 4, 4),
+                        ["A_log", "x_proj_w", "out_proj.weight"]),
+    "simvss": _check_block(lambda rng: SimVss(rng, 8, state_size=4), (1, 8, 4, 4),
+                           ["vss.skip", "out_proj.weight"]),
+    "head": _check_block(lambda rng: Head(rng, 6, 6, num_classes=3), (1, 6, 4, 4),
+                         ["cls_out.weight", "reg_out.weight"], _head_readout),
     "detection_loss": _check_detection_loss,
 }
 

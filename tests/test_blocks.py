@@ -72,7 +72,7 @@ class TestEcaConv:
 
     def test_zero_attention_kernel_scales_attended_half(self):
         rng = np.random.default_rng(1)
-        m = EcaConv(rng, 4, 8, dtype=np.float64)
+        m = EcaConv(rng, 4, 8).astype(np.float64)
         m.attn_weight.data[:] = 0.0
         x = Tensor(rng.standard_normal((2, 4, 5, 5)))
         out = m(x)
@@ -84,14 +84,14 @@ class TestEcaConv:
 
     def test_full_strip_has_no_bypass(self):
         rng = np.random.default_rng(2)
-        m = EcaConv(rng, 4, 8, sigma=1.0, dtype=np.float64)
+        m = EcaConv(rng, 4, 8, sigma=1.0).astype(np.float64)
         assert m.c_hat == 8
         out = m(Tensor(rng.standard_normal((1, 4, 4, 4))))
         assert out.shape == (1, 8, 4, 4)
 
     def test_matches_composition_of_verified_primitives(self):
         rng = np.random.default_rng(3)
-        m = EcaConv(rng, 8, 8, dtype=np.float64)
+        m = EcaConv(rng, 8, 8).astype(np.float64)
         x = Tensor(rng.standard_normal((1, 8, 4, 4)))
         got = m(x).data
 
@@ -105,7 +105,7 @@ class TestEcaConv:
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
-        m = EcaConv(rng, 4, 8, dtype=np.float64)
+        m = EcaConv(rng, 4, 8).astype(np.float64)
         x = Tensor(rng.standard_normal((1, 4, 6, 6)))
         att = ops.split_channels(
             ops.conv2d(x, m.weight, m.bias, m.stride, m.pad), [m.c_hat, m.c_out - m.c_hat])[0]
@@ -139,7 +139,7 @@ class TestEcaCsp:
 
     def test_gradient_check(self):
         rng = np.random.default_rng(8)
-        m = EcaCsp(rng, 8, 8, n=1, dtype=np.float64).train()
+        m = EcaCsp(rng, 8, 8, n=1).astype(np.float64).train()
         x = Tensor(rng.standard_normal((1, 8, 6, 6)))
         report = grad_check(lambda a: m(a), [x], tolerance=1e-4, max_elements=64)
         assert report.passed, str(report)
@@ -152,7 +152,7 @@ class TestEcaCsp:
 class TestVss:
     def test_zero_output_projection_gives_zero(self):
         rng = np.random.default_rng(9)
-        m = Vss(rng, 4, state_size=4, dtype=np.float64)
+        m = Vss(rng, 4, state_size=4).astype(np.float64)
         m.out_proj.weight.data[:] = 0.0
         m.out_proj.bias.data[:] = 0.0
         x = Tensor(rng.standard_normal((1, 4, 3, 3)))
@@ -166,14 +166,14 @@ class TestVss:
 
     def test_gradient_check(self):
         rng = np.random.default_rng(11)
-        m = Vss(rng, 4, state_size=4, dtype=np.float64)
+        m = Vss(rng, 4, state_size=4).astype(np.float64)
         x = Tensor(rng.standard_normal((1, 4, 4, 4)))
         report = grad_check(lambda a: m(a), [x], tolerance=1e-4, max_elements=64)
         assert report.passed, str(report)
 
     def test_delta_positive_everywhere(self):
         rng = np.random.default_rng(12)
-        m = Vss(rng, 6, state_size=4, dtype=np.float64)
+        m = Vss(rng, 6, state_size=4).astype(np.float64)
         # bias init keeps softplus(dt) in a sane starting band
         dt0 = np.log1p(np.exp(m.dt_b.data))
         assert np.all(dt0 > 0.0)
@@ -208,7 +208,7 @@ class TestSimVss:
 
     def test_gradient_check(self):
         rng = np.random.default_rng(16)
-        m = SimVss(rng, 8, state_size=4, dtype=np.float64).train()
+        m = SimVss(rng, 8, state_size=4).astype(np.float64).train()
         x = Tensor(rng.standard_normal((1, 8, 4, 4)))
         report = grad_check(lambda a: m(a), [x], tolerance=1e-4, max_elements=64)
         assert report.passed, str(report)
@@ -217,7 +217,7 @@ class TestSimVss:
 class TestFfn:
     def test_zero_projection_gives_zero(self):
         rng = np.random.default_rng(17)
-        m = Ffn(rng, 6, dtype=np.float64)
+        m = Ffn(rng, 6).astype(np.float64)
         m.project.weight.data[:] = 0.0
         m.project.bias.data[:] = 0.0
         out = m(Tensor(np.random.default_rng(18).standard_normal((1, 6, 3, 3))))
@@ -232,7 +232,7 @@ class TestFfn:
 
     def test_gradient_check(self):
         rng = np.random.default_rng(20)
-        m = Ffn(rng, 4, dtype=np.float64)
+        m = Ffn(rng, 4).astype(np.float64)
         x = Tensor(rng.standard_normal((1, 4, 3, 3)))
         report = grad_check(lambda a: m(a), [x], tolerance=1e-4)
         assert report.passed, str(report)

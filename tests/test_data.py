@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import damaged
 
 from ssmdet import data as D
 from ssmdet.config import load_config
@@ -197,3 +200,78 @@ def test_line_holding_a_line_separator_is_one_line(tmp_path, loader, brk):
     with pytest.raises(ValueError) as err:
         load(path)
     assert f"line {number}: " in str(err.value) and repr(bad) in str(err.value)
+
+
+# ---- round trips and damaged files -----------------------------------------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# one line of text: printable ASCII, spaces included
+_name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), min_size=1, max_size=12)
+_annotated = st.builds(
+    D.AnnotatedImage, path=_name, height=st.integers(0, 4096), width=st.integers(0, 4096),
+    boxes=st.lists(st.tuples(st.integers(0, 99), st.tuples(_finite, _finite, _finite, _finite)),
+                   max_size=3))
+_detection = st.builds(Detection, box=st.tuples(_finite, _finite, _finite, _finite),
+                       score=_finite, class_id=st.integers(0, 99))
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@settings(max_examples=100, deadline=None)
+@given(pixels=st.integers(1, 6).flatmap(lambda h: st.integers(1, 6).flatmap(
+    lambda w: st.lists(st.integers(0, 255), min_size=3 * h * w, max_size=3 * h * w).map(
+        lambda v: np.array(v, dtype=np.uint8).reshape(3, h, w)))))
+def test_ppm_roundtrip_is_exact(doc_dir, pixels):
+    image = pixels.astype(np.float32) / 255.0
+    path = doc_dir / "round.ppm"
+    D.save_ppm(image, path)
+    back = D.load_ppm(path)
+    assert back.dtype == np.float32 and np.array_equal(back, image)
+
+
+@settings(max_examples=100, deadline=None)
+@given(annotated=st.lists(_annotated, max_size=4))
+def test_annotation_roundtrip_is_exact(doc_dir, annotated):
+    path = doc_dir / "round_annotations.txt"
+    D.save_annotations(annotated, path)
+    assert D.load_annotations(path) == annotated
+
+
+@settings(max_examples=100, deadline=None)
+@given(per_image=st.dictionaries(_name, st.lists(_detection, max_size=3), max_size=4))
+def test_detection_roundtrip_is_exact(doc_dir, per_image):
+    path = doc_dir / "round_detections.txt"
+    D.save_detections(per_image, path)
+    assert D.load_detections(path) == per_image
+
+
+@pytest.fixture(scope="module")
+def good_documents(doc_dir):
+    """The bytes of one valid PPM, annotation and detection document."""
+    D.save_ppm(np.random.default_rng(0).random((3, 4, 5)), doc_dir / "good.ppm")
+    D.save_annotations([D.AnnotatedImage("images/a b.ppm", 64, 48, [(1, (1.5, 2.0, 30.25, 40.0))]),
+                        D.AnnotatedImage("images/c.ppm", 64, 64, [])], doc_dir / "good_ann.txt")
+    D.save_detections({"images/a.ppm": [Detection((1.0, 2.0, 3.5, 4.25), 0.75, 2),
+                                        Detection((0.0, 0.5, 9.0, 8.0), 0.125, 0)],
+                       "images/b.ppm": []}, doc_dir / "good_det.txt")
+    return {load: (doc_dir / name).read_bytes() for load, name in (
+        (D.load_ppm, "good.ppm"), (D.load_annotations, "good_ann.txt"),
+        (D.load_detections, "good_det.txt"))}
+
+
+# A damaged document either loads or raises a ValueError subclass (UnicodeDecodeError
+# included), never IndexError, KeyError or TypeError.
+@pytest.mark.parametrize("load", [D.load_ppm, D.load_annotations, D.load_detections],
+                         ids=lambda f: f.__name__)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_document_loads_or_raises_value_error(doc_dir, good_documents, load, data):
+    path = doc_dir / "damaged"
+    path.write_bytes(data.draw(damaged(good_documents[load])))
+    try:
+        load(path)
+    except ValueError:
+        pass

@@ -35,6 +35,27 @@ class TestBuild:
         b = Detector(TOY, seed=1)
         assert not np.array_equal(a.stem.conv1.weight.data, b.stem.conv1.weight.data)
 
+    def test_float64_model_holds_float32_weights_upcast(self):
+        m32, m64 = Detector(TOY, seed=3), Detector(TOY, seed=3, dtype=np.float64)
+        s32, s64 = m32.state_arrays(), m64.state_arrays()
+        assert list(s32) == list(s64)
+        for name, a in s32.items():
+            assert a.dtype == np.float32 and s64[name].dtype == np.float64, name
+            assert np.array_equal(s64[name], a.astype(np.float64)), name
+        assert m32.dtype == np.float32 and m64.dtype == np.float64
+
+    def test_astype_casts_the_tree_in_place_and_back(self):
+        model = Detector(TOY, seed=3)
+        before = {name: a.copy() for name, a in model.state_arrays().items()}
+        params = model.parameters()
+        assert model.astype(np.float64) is model and model.dtype == np.float64
+        assert all(p is q for p, q in zip(model.parameters(), params))
+        assert model.stem.conv1.norm.running_var.dtype == np.float64
+        assert {a.dtype for a in model.state_arrays().values()} == {np.dtype(np.float64)}
+        after = model.astype(np.float32).state_arrays()
+        for name, a in before.items():
+            assert after[name].dtype == np.float32 and np.array_equal(after[name], a), name
+
     def test_scale_monotonicity(self):
         counts = [Detector(get_scale(s)).count_params() for s in ("n", "s", "m")]
         assert counts[0] < counts[1] < counts[2]

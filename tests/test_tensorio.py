@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import damaged
 
 from ssmdet.tensorio import (
     TensorFormatError,
@@ -118,20 +119,6 @@ def test_checkpoint_malformed_manifest_line_named(tmp_path, line):
     assert str(err.value) == f"malformed checkpoint manifest line 3: {line!r}"
 
 
-def _damaged(good: bytes):
-    """``good`` cut at a random point, or with 1-4 random bytes XOR-ed."""
-    def flip(changes):
-        buf = bytearray(good)
-        for at, mask in changes:
-            buf[at] ^= mask
-        return bytes(buf)
-
-    cut = st.integers(0, len(good) - 1).map(lambda n: good[:n])
-    flips = st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)),
-                     min_size=1, max_size=4).map(flip)
-    return st.one_of(cut, flips)
-
-
 _GOOD_BLOB = tensor_bytes(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
 
 
@@ -151,7 +138,7 @@ def good_checkpoint(corrupt_dir) -> bytes:
 # A damaged file either loads (a flipped payload byte is still a valid file) or
 # raises a ValueError subclass, never IndexError, KeyError, struct.error or MemoryError.
 @settings(max_examples=200, deadline=None)
-@given(blob=_damaged(_GOOD_BLOB))
+@given(blob=damaged(_GOOD_BLOB))
 def test_damaged_tensor_loads_or_raises_value_error(blob):
     try:
         tensor_from_bytes(blob)
@@ -163,7 +150,7 @@ def test_damaged_tensor_loads_or_raises_value_error(blob):
 @given(data=st.data())
 def test_damaged_checkpoint_loads_or_raises_value_error(corrupt_dir, good_checkpoint, data):
     path = corrupt_dir / "damaged.ckpt"
-    path.write_bytes(data.draw(_damaged(good_checkpoint)))
+    path.write_bytes(data.draw(damaged(good_checkpoint)))
     try:
         load_checkpoint(path)
     except ValueError:

@@ -6,10 +6,11 @@ import pytest
 from oracles import detection_loss_scalar
 from ssmdet.config import RunConfig
 from ssmdet.model import Detector, get_scale
-from ssmdet.tensor import Tensor
+from ssmdet.tensor import Tape, Tensor
 from ssmdet.train import (
     SgdMomentum,
     TrainingDiverged,
+    _box_iou_loss,
     assign_targets,
     detection_loss,
     lr_at,
@@ -116,6 +117,14 @@ class TestDetectionLoss:
         assert want[2] > 0.0
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    def test_box_loss_records_two_nodes_per_decoded_edge(self):
+        # each edge is one slice and one add or subtract of the grid centre;
+        # the overlap, areas and ratio take 17 more nodes
+        reg = Tensor(np.random.default_rng(0).uniform(0.1, 2.0, (2, 4, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            _box_iou_loss(reg, 8, np.ones((2, 4, 3, 3)))
+        assert len(tape) == 1 + 4 * 2 + 17
 
     def test_batch_without_boxes_has_zero_box_term(self):
         cls_maps, reg_maps = self._maps(3)
