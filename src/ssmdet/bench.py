@@ -62,8 +62,9 @@ def bench_scan(lengths, channels: int, states: int, block_lens, repeats: int = 5
     phase of the host does not bias any single row, and the collector is
     paused while sampling.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats {repeats} must be >= 1")
+    for name, value in (("repeats", repeats), ("channels", channels), ("states", states)):
+        if value < 1:
+            raise ValueError(f"{name} {value} must be >= 1")
     rng = np.random.default_rng(seed)
     runs = []     # (row skeleton without time, closure)
     for length in lengths:

@@ -3,8 +3,11 @@
 Every convolution is :func:`conv2d`, a sum over its kernel's taps: each
 tap's weight slice multiplies the shifted input window it reads, one matmul
 per tap for every kind of conv (dense, grouped, depthwise, 1x1, strided, and
-ECA's :func:`conv1d`, a k x 1 kernel over an L x 1 map). Tests hold it to
-direct nested-loop oracles. Convolution is cross-correlation (no kernel flip).
+ECA's :func:`conv1d`, a k x 1 kernel over an L x 1 map). Where a group has
+one input channel (forward) or one output channel (input gradient), that
+matmul is an outer product and runs as a multiply, with the same values.
+Tests hold it to direct nested-loop oracles. Convolution is
+cross-correlation (no kernel flip).
 Batch and layer norm are one taped op each, with a closed-form backward
 that keeps only the normalized input.
 """
@@ -105,9 +108,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     xp = padded()
     wmat = w.data.astype(np.float64).reshape(groups, og, c_g, kh * kw)
-    out = np.zeros((groups, og, ho * wo * n))
+    out = np.zeros((groups, og, ho, wo, n))
     for k, (ki, kj) in enumerate(taps):
-        out += wmat[..., k] @ tap_input(xp, ki, kj)
+        if c_g == 1:    # with one input channel the tap's matmul is an outer product
+            out += wmat[..., k, None, None] * window(xp, ki, kj)
+        else:
+            out += (wmat[..., k] @ tap_input(xp, ki, kj)).reshape(out.shape)
     out = out.reshape(c_out, ho, wo, n).transpose(3, 0, 1, 2)
     if bias is not None:
         out += bias.data.reshape(1, c_out, 1, 1)
@@ -125,12 +131,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             accumulate(w, gw.reshape(w.data.shape).astype(w.data.dtype))
         if x.requires_grad:
             # every tap's w_k^T @ g in one matmul, each added into its window, in
-            # the gradient's dtype (in float64 these passes cost the most)
-            gtaps = (w.data.reshape(groups, og, c_g * kh * kw).transpose(0, 2, 1) @ g) \
-                .reshape(groups, c_g, kh * kw, ho, wo, n)
+            # the gradient's dtype (in float64 these passes cost the most); with
+            # one output channel per group each w_k^T @ g is an outer product
+            if og == 1:
+                wk = w.data.reshape(groups, c_g, kh * kw, 1, 1, 1)
+                g5 = g.reshape(groups, 1, ho, wo, n)
+                gtaps = (wk[:, :, k] * g5 for k in range(kh * kw))
+            else:
+                gtaps = np.moveaxis(
+                    (w.data.reshape(groups, og, c_g * kh * kw).transpose(0, 2, 1) @ g)
+                    .reshape(groups, c_g, kh * kw, ho, wo, n), 2, 0)
             gxp = np.zeros(padded_shape, dtype=g.dtype)
-            for k, (ki, kj) in enumerate(taps):
-                window(gxp, ki, kj)[...] += gtaps[:, :, k]
+            for (ki, kj), gtap in zip(taps, gtaps):
+                window(gxp, ki, kj)[...] += gtap
             gx = gxp[:, :, ph:ph + h, pw:pw + wd].reshape(c_in, h, wd, n)
             accumulate(x, gx.transpose(3, 0, 1, 2))
 

@@ -16,10 +16,17 @@ within dtype tolerance on every instance.
 
 Scan states are [batch, N, D] internally, channels innermost, in the
 oracle too: summing p*h over N then runs in the same order everywhere, so
-the blocked scan matches the oracle bit for bit. ``ssm_scan`` contracts
-with its shared P as a matmul. Under a tape it keeps only each chunk's
-start state; backward re-runs a chunk's recurrence from it (Mamba's
-recomputation) before stepping that chunk's adjoint.
+the blocked scan matches the oracle bit for bit. A chunk's Abar, Bbar*x
+and states live in time-major buffers [chunk, batch, N, D], allocated once
+per call and reused by every chunk: the discretizer writes its outer
+products straight into them, and each recurrence step reads and writes
+one contiguous [batch, N, D] slab. The arithmetic of a step does not
+depend on the chunking, so every chunk length gives the same outputs.
+``ssm_scan`` contracts with its shared P as a matmul, and by default takes
+its chunk length from the input's shape so that one buffer stays within
+256 KiB. Under a tape it keeps only each chunk's start state; backward
+re-runs a chunk's recurrence from it (Mamba's recomputation) before
+stepping that chunk's adjoint.
 """
 
 from __future__ import annotations
@@ -150,31 +157,47 @@ def _states_first(a):
 
 
 def _chunk_states(h, abar, bx):
-    """States h_t of one chunk from its start state h, written over bx [batch, c, N, D]."""
-    for i in range(bx.shape[1]):
-        bx[:, i] += abar[:, i] * h      # equals abar*h + bx bit for bit
-        h = bx[:, i]
+    """States h_t of one chunk from its start state h, written over bx [c, batch, N, D]."""
+    for a_i, bx_i in zip(abar, bx):
+        bx_i += a_i * h      # equals abar*h + bx bit for bit
+        h = bx_i
     return bx
 
 
-def _chunked_scan(x, q, discretize, readout, block_len, starts=None):
+def _chunk_buffers(count, steps, shape, dtype):
+    """``count`` time-major chunk buffers [steps, batch, N, D] for ``shape`` [batch, N, D]."""
+    return [np.empty((steps,) + shape, dtype=dtype) for _ in range(count)]
+
+
+def _chunks(length, block_len):
+    """(k, t0, t1) for each chunk of steps t0..t1-1."""
+    return [(k, t0, min(t0 + block_len, length)) for k, t0 in enumerate(range(0, length, block_len))]
+
+
+def _chunked_scan(x, q, n, dtype, discretize, readout, block_len, starts=None):
     """Recurrence over x [batch, L, D]; returns y [batch, L, D] and h_L [batch, N, D].
 
-    ``discretize(t0, t1)`` gives fresh (Abar, Bbar*x) arrays for steps
-    t0..t1-1, each [batch, t1-t0, N, D]; ``readout(t0, t1, hs)`` contracts
-    those steps' states with P to [batch, t1-t0, D]. ``starts``, if given,
-    is [batch, chunks, N, D] and receives each chunk's start state.
+    Two time-major buffers [block_len, batch, N, D] of ``dtype`` are
+    allocated once and reused by every chunk, so each step of the
+    recurrence reads and writes one contiguous [batch, N, D] slab.
+    ``discretize(t0, t1, abar, bx)`` writes Abar and Bbar*x for steps
+    t0..t1-1 into the leading t1-t0 rows of the buffers; ``readout(t0, t1,
+    hs)`` contracts those steps' states with P to [t1-t0, batch, D].
+    ``starts``, if given, is [chunks, batch, N, D] and receives each
+    chunk's start state.
     """
     bt, length, d = x.shape
     y = np.empty((bt, length, d), dtype=x.dtype)
+    abar, bx = _chunk_buffers(2, min(block_len, length), (bt, n, d), dtype)
     h = 0.0
-    for k, t0 in enumerate(range(0, length, block_len)):
-        t1 = min(t0 + block_len, length)
+    for k, t0, t1 in _chunks(length, block_len):
         if starts is not None:
-            starts[:, k] = h
-        hs = _chunk_states(h, *discretize(t0, t1))
-        h = hs[:, -1]
-        y[:, t0:t1] = readout(t0, t1, hs) + q * x[:, t0:t1]
+            starts[k] = h
+        a, hs = abar[:t1 - t0], bx[:t1 - t0]
+        discretize(t0, t1, a, hs)
+        _chunk_states(h, a, hs)
+        h = hs[-1].copy()     # the buffer is overwritten by the next chunk
+        y[:, t0:t1] = np.swapaxes(readout(t0, t1, hs), 0, 1) + q * x[:, t0:t1]
     return y, h
 
 
@@ -195,64 +218,101 @@ def selective_scan_blocked(x: np.ndarray, params: SSMParams, block_len: int) -> 
     disc = _DISCRETIZERS[params.method]
     deltas, bs, ps = params.step_arrays(x.shape[0])
 
-    def discretize(t0, t1):
-        abar, bbar = disc(params.A, bs[t0:t1], deltas[t0:t1])
-        return _states_first(abar)[None], (_states_first(bbar) * x[t0:t1, None, :])[None]
+    def discretize(t0, t1, abar, bx):
+        a, b = disc(params.A, bs[t0:t1], deltas[t0:t1])
+        abar[:, 0] = np.swapaxes(a, -1, -2)
+        np.multiply(np.swapaxes(b, -1, -2), x[t0:t1, None, :], out=bx[:, 0])
 
     def readout(t0, t1, hs):
         # per-channel P: elementwise, summed over N in the oracle's order
-        return (_states_first(ps[t0:t1]) * hs).sum(-2)
+        return (_states_first(ps[t0:t1])[:, None] * hs).sum(-2)
 
-    y, h = _chunked_scan(x[None], params.Q, discretize, readout, block_len)
+    dtype = np.result_type(x, params.A, params.B, params.delta)
+    y, h = _chunked_scan(x[None], params.Q, params.A.shape[1], dtype, discretize, readout,
+                         block_len)
     return ScanResult(y=y[0], h_final=h[0].T)
 
 
 # ---- taped batched scan ----------------------------------------------------
+
+def _time_major(a, t0, t1):
+    """Steps t0..t1-1 of a [batch, L, ...] array as a C-ordered [t1-t0, batch, ...] copy.
+
+    Contiguous operands let ``np.einsum`` write an outer product about
+    twice as fast as from strided views.
+    """
+    return np.ascontiguousarray(np.swapaxes(a[:, t0:t1], 0, 1))
+
 
 def _scan_backward(g, xd, dd, a_t, bd, pd, qd, discretize, starts, block_len):
     """Adjoint lam_t = g_t P_t + Abar_{t+1} lam_{t+1}, one chunk at a time from the last.
 
     Each chunk's states are recomputed from its start in ``starts`` before
     its adjoint steps; ``a_t`` is A as [N, D], and gA comes back that way.
+    The chunk's Abar, states and P (x) g seed live in three time-major
+    buffers reused by every chunk.
     """
     length = xd.shape[1]
-    lam = np.zeros(starts.shape[:1] + starts.shape[2:], dtype=g.dtype)   # [batch, N, D]
+    abar, bx, lam_c = _chunk_buffers(3, min(block_len, length), starts.shape[1:], g.dtype)
+    lam = np.zeros(starts.shape[1:], dtype=g.dtype)   # [batch, N, D]
     gx = g * qd
     gdelta = np.empty_like(dd)
     ga = np.zeros_like(a_t)
     gb = np.empty_like(bd)
     gp = np.empty_like(pd)
-    for k in reversed(range(starts.shape[1])):
-        t0 = k * block_len
-        t1 = min(t0 + block_len, length)
-        dch, xch, gch = dd[:, t0:t1], xd[:, t0:t1], g[:, t0:t1]
-        abar, bx = discretize(t0, t1)
-        hs = _chunk_states(starts[:, k], abar, bx)
-        gp[:, t0:t1] = (hs @ gch[..., None])[..., 0]
-        lam_c = pd[:, t0:t1, :, None] * gch[:, :, None, :]   # becomes lam_t in place
-        for i in range(t1 - t0 - 1, -1, -1):
-            lam_c[:, i] += lam
-            lam = np.multiply(lam_c[:, i], abar[:, i], out=abar[:, i])
-        lam = lam.copy()      # it is abar[:, 0], which is overwritten next
-        # abar holds lam_t*Abar_t; times h_{t-1} it is dL/d(delta_t*A) per element
-        abar[:, 0] *= starts[:, k]
-        abar[:, 1:] *= hs[:, :-1]
-        ga += np.einsum("bcnd,bcd->nd", abar, dch)
-        lam_dot_b = (bd[:, t0:t1, None, :] @ lam_c)[:, :, 0]
-        gdelta[:, t0:t1] = np.einsum("bcnd,nd->bcd", abar, a_t) + lam_dot_b * xch
-        gx[:, t0:t1] += lam_dot_b * dch
-        gb[:, t0:t1] = (lam_c @ (dch * xch)[..., None])[..., 0]
+    for k, t0, t1 in reversed(_chunks(length, block_len)):
+        dch, xch, gch = (_time_major(v, t0, t1) for v in (dd, xd, g))     # [c, batch, D]
+        a, hs, lc = abar[:t1 - t0], bx[:t1 - t0], lam_c[:t1 - t0]
+        discretize(t0, t1, a, hs)
+        _chunk_states(starts[k], a, hs)
+        gp[:, t0:t1] = np.swapaxes((hs @ gch[..., None])[..., 0], 0, 1)
+        np.einsum("cbn,cbd->cbnd", _time_major(pd, t0, t1), gch, out=lc)   # becomes lam_t in place
+        for lc_i, a_i in zip(lc[::-1], a[::-1]):
+            lc_i += lam
+            lam = np.multiply(lc_i, a_i, out=a_i)
+        lam = lam.copy()      # it is a[0], which is overwritten next
+        # a holds lam_t*Abar_t; times h_{t-1} it is dL/d(delta_t*A) per element
+        a[0] *= starts[k]
+        a[1:] *= hs[:-1]
+        ga += np.einsum("cbnd,cbd->nd", a, dch)
+        lam_dot_b = (_time_major(bd, t0, t1)[:, :, None, :] @ lc)[:, :, 0]
+        gdelta[:, t0:t1] = np.swapaxes(np.einsum("cbnd,nd->cbd", a, a_t) + lam_dot_b * xch, 0, 1)
+        gx[:, t0:t1] += np.swapaxes(lam_dot_b * dch, 0, 1)
+        gb[:, t0:t1] = np.swapaxes((lc @ (dch * xch)[..., None])[..., 0], 0, 1)
     gq = (g * xd).sum(axis=(0, 1))
     return gx, gdelta, ga, gb, gp, gq
 
 
+# A chunk buffer [steps, batch, N, D] holds at most this many bytes when
+# ssm_scan picks the chunk length itself. At the desk fusion shapes (f32)
+# a taped scan and its backward ran as fast with 512 KiB, and 1.4x slower
+# at batch 1 with 1 MiB.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _default_block_len(bt, length, n, d, itemsize):
+    """Steps per chunk: as many as keep one chunk buffer within _CHUNK_BYTES, at least N, at most L.
+
+    The floor of N steps bounds the start states kept under a tape to about
+    the size of the output.
+    """
+    fit = _CHUNK_BYTES // max(1, bt * n * d * itemsize)
+    return max(1, min(length, max(n, fit)))
+
+
 def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tensor,
-             block_len: int = 64) -> Tensor:
+             block_len: int | None = None) -> Tensor:
     """Batched selective scan with input-dependent delta/B/P.
 
     Shapes: x and delta [batch, L, D]; B and P [batch, L, N] (shared over
     channels); A [D, N] diagonal; Q [D]. Discretization is exp for the
     state factor and delta*B for the input factor. Returns y [batch, L, D].
+
+    The scan runs ``block_len`` steps per chunk. By default the chunk
+    length comes from the shapes: as many steps as keep one time-major
+    chunk buffer [steps, batch, N, D] within 256 KiB, at least N and at
+    most L (64, 32 and 16 steps at batch 1 and D = 64, 128 and 256 with
+    N = 16 in float32; 16 at batch 8). Every chunk length gives the same y.
     """
     bt, length, d = x.shape
     n = A.shape[1]
@@ -262,21 +322,25 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
         raise ShapeError(f"ssm_scan: B/P must be [batch, L, {n}], got {B.shape} / {P.shape}")
     if Q.shape != (d,):
         raise ShapeError(f"ssm_scan: Q must be [{d}], got {Q.shape}")
+    if block_len is None:
+        block_len = _default_block_len(bt, length, n, d, x.data.itemsize)
     if block_len < 1:
         raise ShapeError(f"ssm_scan: block_len {block_len} must be >= 1")
     xd, dd, bd, pd, qd = x.data, delta.data, B.data, P.data, Q.data
     a_t = _states_first(A.data)
     keep = T.active_tape() is not None and any(t.requires_grad for t in (x, delta, A, B, P, Q))
-    starts = np.empty((bt, -(-length // block_len), n, d), dtype=xd.dtype) if keep else None
+    starts = np.empty((-(-length // block_len), bt, n, d), dtype=xd.dtype) if keep else None
 
-    def discretize(t0, t1):
-        dch = dd[:, t0:t1, None, :]
-        return np.exp(dch * a_t), (dch * xd[:, t0:t1, None, :]) * bd[:, t0:t1, :, None]
+    def discretize(t0, t1, abar, bx):
+        dch = _time_major(dd, t0, t1)
+        np.exp(np.einsum("cbd,nd->cbnd", dch, a_t, out=abar), out=abar)
+        np.einsum("cbn,cbd->cbnd", _time_major(bd, t0, t1), dch * _time_major(xd, t0, t1),
+                  out=bx)
 
     def readout(t0, t1, hs):
-        return (pd[:, t0:t1, None, :] @ hs)[:, :, 0]
+        return (_time_major(pd, t0, t1)[:, :, None, :] @ hs)[:, :, 0]
 
-    y, _ = _chunked_scan(xd, qd, discretize, readout, block_len, starts)
+    y, _ = _chunked_scan(xd, qd, n, xd.dtype, discretize, readout, block_len, starts)
 
     def rule(g):
         gx, gdelta, ga, gb, gp, gq = _scan_backward(g, xd, dd, a_t, bd, pd, qd, discretize,

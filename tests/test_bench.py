@@ -43,3 +43,15 @@ def test_csv_layout():
 def test_timing_is_positive():
     rows = bench_scan([32], channels=2, states=2, block_lens=[8], repeats=2)
     assert all(r.wall_ns_median > 0 for r in rows)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"channels": 0}, "channels 0"),
+    ({"states": 0}, "states 0"),
+    ({"states": -1}, "states -1"),
+    ({"repeats": 0}, "repeats 0"),
+])
+def test_sizes_below_one_rejected(kwargs, name):
+    args = {"channels": 2, "states": 2, "repeats": 1, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        bench_scan([16], block_lens=[4], **args)

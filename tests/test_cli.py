@@ -48,9 +48,12 @@ def test_directory_for_input_file_exits_1(tmp_path, capsys, command):
     ["check-shapes", "--input-size", "40"],
     ["check-shapes", "--input-size", "-32"],
     ["scan-bench", "--lengths", "16", "--block-lens", "8", "--repeats", "0"],
+    ["scan-bench", "--lengths", "16", "--block-lens", "8", "--channels", "0"],
+    ["scan-bench", "--lengths", "16", "--block-lens", "8", "--states", "0"],
+    ["scan-bench", "--lengths", "16", "--block-lens", "8", "--states", "-1"],
     ["grad-check", "--block", "conv1d", "--seeds", "0"],
     ["grad-check", "--block", "conv1d", "--seeds", "-1"],
-], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+], ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-2] in ('--channels', '--states') else ''}{argv[-1]}")
 def test_bad_size_exits_1_with_one_error_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -59,7 +62,7 @@ def test_bad_size_exits_1_with_one_error_line(capsys, argv):
     pad = f"; pad by {-size % 32}x{-size % 32}" if size > 0 else ""
     want = f"input {size}x{size} must be positive and divisible by 32{pad}"
     if argv[0] == "scan-bench":
-        want = "repeats 0 must be >= 1"
+        want = f"{argv[-2][2:]} {size} must be >= 1"
     if argv[0] == "grad-check":
         want = f"seeds {size} must be >= 1"
     assert captured.err.splitlines() == [f"{argv[0]} error: {want}"]

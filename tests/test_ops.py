@@ -88,6 +88,21 @@ class TestConv2d:
         want = conv2d_loops(x, w, None, padding=1, groups=6)
         assert np.abs(got - want).max() <= 1e-12
 
+    # a group with one input channel but two outputs, and one with two inputs
+    # but one output: the forward and the input gradient each take a product
+    # where the other takes a matmul
+    @pytest.mark.parametrize("c_out,groups", [(8, 4), (2, 2)])
+    def test_one_channel_groups_match_oracle_and_fd(self, c_out, groups):
+        rng = np.random.default_rng(c_out + groups)
+        x = Tensor(rng.standard_normal((2, 4, 7, 6)))
+        w = Tensor(rng.standard_normal((c_out, 4 // groups, 3, 3)))
+        b = Tensor(rng.standard_normal(c_out))
+        got = ops.conv2d(x, w, b, 2, 1, groups).data
+        want = conv2d_loops(x.data, w.data, b.data, 2, 1, groups)
+        assert np.abs(got - want).max() <= 1e-12
+        report = grad_check(lambda *a: ops.conv2d(*a, 2, 1, groups), [x, w, b], tolerance=1e-4)
+        assert report.passed, str(report)
+
     def test_channel_group_mismatch_names_dimension(self):
         x = Tensor(np.zeros((1, 5, 4, 4)))
         w = Tensor(np.zeros((2, 2, 1, 1)))

@@ -18,6 +18,7 @@ from ssmdet.ssm import (
     selective_scan_seq,
     ssm_scan,
 )
+from ssmdet.ssm import _default_block_len
 from ssmdet.tensor import Tape, Tensor
 
 
@@ -265,23 +266,53 @@ class TestTapedScan:
         assert report.passed, str(report)
 
     def test_retains_chunk_starts_only(self):
-        # under a tape the scan keeps each chunk's start state, not every state
+        # under a tape the scan keeps each chunk's start state, not every state;
+        # the last three shapes are the desk training fusion levels, where the
+        # default chunk length sits at its floor of N steps
         rng = np.random.default_rng(17)
-        bt, length, d, n = 2, 256, 32, 16
-        arrays = [rng.standard_normal((bt, length, d)), rng.uniform(0.01, 0.5, (bt, length, d)),
-                  rng.uniform(-2.0, -0.1, (d, n)), rng.standard_normal((bt, length, n)),
-                  rng.standard_normal((bt, length, n)), rng.standard_normal(d)]
-        inputs = [Tensor(a, dtype=np.float32, requires_grad=True) for a in arrays]
-        tracemalloc.start()
-        try:
-            with Tape() as tape:
-                before = tracemalloc.get_traced_memory()[0]
-                y = ssm_scan(*inputs)
-                held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(tape) == 1
-        assert held <= 3 * y.data.nbytes, (held, y.data.nbytes)
+        n = 16
+        for bt, length, d in [(2, 256, 32), (8, 400, 64), (8, 100, 128), (8, 25, 256)]:
+            arrays = [rng.standard_normal((bt, length, d)),
+                      rng.uniform(0.01, 0.5, (bt, length, d)),
+                      rng.uniform(-2.0, -0.1, (d, n)), rng.standard_normal((bt, length, n)),
+                      rng.standard_normal((bt, length, n)), rng.standard_normal(d)]
+            inputs = [Tensor(a, dtype=np.float32, requires_grad=True) for a in arrays]
+            tracemalloc.start()
+            try:
+                with Tape() as tape:
+                    before = tracemalloc.get_traced_memory()[0]
+                    y = ssm_scan(*inputs)
+                    held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(tape) == 1
+            assert held <= 3 * y.data.nbytes, (bt, length, d, held, y.data.nbytes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_identical_for_every_block_len(self, dtype):
+        # each step's arithmetic is the same in every chunking, so y is too;
+        # the default here is 32 steps in float32 and 16 in float64
+        rng = np.random.default_rng(18)
+        bt, length, d, n = 2, 50, 64, 16
+        assert 3 < _default_block_len(bt, length, n, d, np.dtype(dtype).itemsize) < length
+        inputs = [Tensor(a, dtype=dtype) for a in (
+            rng.standard_normal((bt, length, d)), rng.uniform(0.01, 0.8, (bt, length, d)),
+            rng.uniform(-3.0, -0.2, (d, n)), rng.standard_normal((bt, length, n)),
+            rng.standard_normal((bt, length, n)), rng.standard_normal(d))]
+        want = ssm_scan(*inputs).data
+        assert want.dtype == dtype
+        for block_len in (1, 3, length, length + 5):
+            assert ssm_scan(*inputs, block_len=block_len).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bt,want", [(1, (64, 32, 16)), (8, (16, 16, 16))])
+    def test_default_block_len_at_desk_fusion_shapes(self, bt, want):
+        # float32 [L, D] of the three fusion levels at 160 px, N = 16: as many
+        # steps as fit a 256 KiB [steps, batch, N, D] buffer, at least N, at most L
+        levels = [(400, 64), (100, 128), (25, 256)]
+        got = tuple(_default_block_len(bt, length, 16, d, 4) for length, d in levels)
+        assert got == want
+        assert _default_block_len(1, 10, 16, 64, 4) == 10     # capped at L
+        assert _default_block_len(1, 400, 16, 64, 8) == 32    # float64 halves it
 
     def test_shape_validation(self):
         x = Tensor(np.zeros((1, 4, 2)))
