@@ -354,29 +354,23 @@ def decode(per_level_maps, strides, conf_threshold: float, max_dets: int,
     if not 0.0 <= conf_threshold <= 1.0:
         raise ValueError(f"conf_threshold {conf_threshold} must be in [0, 1]")
     fh, fw = frame_hw
-    rows = []
+    scores, classes, boxes = [], [], []
     for (cls_map, reg_map), stride in zip(per_level_maps, strides):
-        nc, gh, gw = cls_map.shape
         scores_all = 1.0 / (1.0 + np.exp(-cls_map.astype(np.float64)))
-        best_cls = scores_all.argmax(axis=0)
         best_score = scores_all.max(axis=0)
-        keep = best_score >= conf_threshold
-        if not keep.any():
-            continue
-        ii, jj = np.nonzero(keep)
+        ii, jj = np.nonzero(best_score >= conf_threshold)
         cx = (jj + 0.5) * stride
         cy = (ii + 0.5) * stride
         dist = reg_map[:, ii, jj].astype(np.float64) * stride
-        x1 = np.clip(cx - dist[0], 0.0, fw)
-        y1 = np.clip(cy - dist[1], 0.0, fh)
-        x2 = np.clip(cx + dist[2], 0.0, fw)
-        y2 = np.clip(cy + dist[3], 0.0, fh)
-        for n in range(ii.size):
-            rows.append(Detection(
-                box=(float(x1[n]), float(y1[n]), float(x2[n]), float(y2[n])),
-                score=float(best_score[ii[n], jj[n]]),
-                class_id=int(best_cls[ii[n], jj[n]]),
-            ))
-    rows.sort(key=lambda d: -d.score)
-    return rows[:max_dets]
+        scores.append(best_score[ii, jj])
+        classes.append(scores_all.argmax(axis=0)[ii, jj])
+        boxes.append(np.stack([np.clip(cx - dist[0], 0.0, fw), np.clip(cy - dist[1], 0.0, fh),
+                               np.clip(cx + dist[2], 0.0, fw), np.clip(cy + dist[3], 0.0, fh)], 1))
+    if not scores:
+        return []
+    score = np.concatenate(scores)
+    # a stable sort keeps equal scores in level-then-row-major order
+    top = np.argsort(-score, kind="stable")[:max_dets]
+    return [Detection(box=tuple(b), score=s, class_id=c) for b, s, c in zip(
+        np.concatenate(boxes)[top].tolist(), score[top].tolist(), np.concatenate(classes)[top].tolist())]
 

@@ -10,6 +10,9 @@ Tests hold it to direct nested-loop oracles. Convolution is
 cross-correlation (no kernel flip).
 Batch and layer norm are one taped op each, with a closed-form backward
 that keeps only the normalized input.
+
+Each rule's "keeps" note names what it holds for backward besides its
+inputs' gradient slots (see :mod:`ssmdet.tensor`).
 """
 
 from __future__ import annotations
@@ -41,27 +44,38 @@ def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """Keeps: its output."""
     s = _sigmoid_stable(x.data)
     return elementwise(x, None, s, lambda g: g * s * (1.0 - s))
 
 
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
+    """z = x * s with s = sigmoid(x). Keeps: s and z.
+
+    The derivative s + z*(1-s) is s + x*s*(1-s) with the first product
+    already taken, so it is the same to the bit without holding x.
+    """
     s = _sigmoid_stable(x.data)
-    return elementwise(x, None, x.data * s, lambda g: g * (s + x.data * s * (1.0 - s)))
+    z = x.data * s
+    return elementwise(x, None, z, lambda g: g * (s + z * (1.0 - s)))
 
 
 def softplus(x: Tensor) -> Tensor:
-    # log(1 + e^x) without overflow; np.logaddexp is a scalar loop
-    out = np.maximum(x.data, 0) + np.log1p(np.exp(-np.abs(x.data)))
-    return elementwise(x, None, out, lambda g: g * _sigmoid_stable(x.data))
+    """log(1 + e^x). Keeps: its input."""
+    # this form does not overflow; np.logaddexp is a scalar loop
+    xd = x.data
+    out = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
+    return elementwise(x, None, out, lambda g: g * _sigmoid_stable(xd))
 
 
 # ---- convolution ----------------------------------------------------------
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int | tuple[int, int] = 0, groups: int = 1) -> Tensor:
-    """2D cross-correlation, NCHW in, [C_out, C_in/groups, kh, kw] kernel, int or (h, w) padding."""
+    """2D cross-correlation, NCHW in, [C_out, C_in/groups, kh, kw] kernel, int or (h, w) padding.
+
+    Keeps: ``x``'s values if ``w`` needs a gradient, ``w``'s if ``x`` does.
+    """
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4D [batch, channel, height, width], got {x.shape}")
     if w.ndim != 4:
@@ -90,13 +104,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     # position; the output and input gradient keep this batch-innermost order.
     # 32-bit inputs accumulate in float64 and round once at the end, within
     # 1e-6 of the nested-loop oracle. The padded float64 copy is not kept for
-    # backward: the weight gradient rebuilds it from x.data.
+    # backward: the weight gradient rebuilds it from x's values.
     padded_shape = (groups, c_g, hp, wp, n)
 
-    def padded():
+    def padded(xd):
         xp = np.zeros(padded_shape)
         xp[:, :, ph:ph + h, pw:pw + wd] = \
-            x.data.reshape(n, groups, c_g, h, wd).transpose(1, 2, 3, 4, 0)
+            xd.reshape(n, groups, c_g, h, wd).transpose(1, 2, 3, 4, 0)
         return xp
 
     def window(a, ki, kj):
@@ -106,7 +120,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     def tap_input(xp, ki, kj):
         return window(xp, ki, kj).reshape(groups, c_g, ho * wo * n)
 
-    xp = padded()
+    xp = padded(x.data)
     wmat = w.data.astype(np.float64).reshape(groups, og, c_g, kh * kw)
     out = np.zeros((groups, og, ho, wo, n))
     for k, (ki, kj) in enumerate(taps):
@@ -118,34 +132,37 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out += bias.data.reshape(1, c_out, 1, 1)
     out = out.astype(x.data.dtype)
+    xs, ws, bs = x.slot, w.slot, bias.slot if bias is not None else None
+    xv = x.data if ws.requires_grad else None
+    wv = w.data if xs.requires_grad else None
 
     def rule(g):
-        if bias is not None:
-            accumulate(bias, g.sum(axis=(0, 2, 3)))
+        if bs is not None:
+            accumulate(bs, g.sum(axis=(0, 2, 3)))
         g = g.transpose(1, 2, 3, 0).reshape(groups, og, ho * wo * n)
-        if w.requires_grad:
-            g64, xp = g.astype(np.float64), padded()
+        if xv is not None:
+            g64, xp = g.astype(np.float64), padded(xv)
             gw = np.empty((groups, og, c_g, kh * kw))
             for k, (ki, kj) in enumerate(taps):
                 gw[..., k] = g64 @ tap_input(xp, ki, kj).transpose(0, 2, 1)
-            accumulate(w, gw.reshape(w.data.shape).astype(w.data.dtype))
-        if x.requires_grad:
+            accumulate(ws, gw.reshape(c_out, c_g, kh, kw).astype(xv.dtype))
+        if wv is not None:
             # every tap's w_k^T @ g in one matmul, each added into its window, in
             # the gradient's dtype (in float64 these passes cost the most); with
             # one output channel per group each w_k^T @ g is an outer product
             if og == 1:
-                wk = w.data.reshape(groups, c_g, kh * kw, 1, 1, 1)
+                wk = wv.reshape(groups, c_g, kh * kw, 1, 1, 1)
                 g5 = g.reshape(groups, 1, ho, wo, n)
                 gtaps = (wk[:, :, k] * g5 for k in range(kh * kw))
             else:
                 gtaps = np.moveaxis(
-                    (w.data.reshape(groups, og, c_g * kh * kw).transpose(0, 2, 1) @ g)
+                    (wv.reshape(groups, og, c_g * kh * kw).transpose(0, 2, 1) @ g)
                     .reshape(groups, c_g, kh * kw, ho, wo, n), 2, 0)
             gxp = np.zeros(padded_shape, dtype=g.dtype)
             for (ki, kj), gtap in zip(taps, gtaps):
                 window(gxp, ki, kj)[...] += gtap
             gx = gxp[:, :, ph:ph + h, pw:pw + wd].reshape(c_in, h, wd, n)
-            accumulate(x, gx.transpose(3, 0, 1, 2))
+            accumulate(xs, gx.transpose(3, 0, 1, 2))
 
     return make_op(out, rule, x, w, bias)
 
@@ -180,24 +197,26 @@ def _check_norm_args(name: str, x: Tensor, gain: Tensor, shift: Tensor) -> None:
 
 def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift: Tensor,
                axes: tuple | None) -> Tensor:
-    """``xhat * gain + shift`` with ``xhat = xc * rstd`` as one taped op keeping only ``xhat``.
+    """``xhat * gain + shift`` with ``xhat = xc * rstd`` as one taped op.
 
     ``xc`` is ``x`` less its mean; both statistics were taken over ``axes``,
     or are constants when it is None. ``gx = rstd * (gh - mean(gh) - xhat *
     mean(gh * xhat))`` over ``axes``, with ``gh = g * gain``.
+    Keeps: ``xhat``, ``rstd`` and the gain.
     """
     xhat = xc * rstd
     gain4 = gain.data.reshape(1, -1, 1, 1)
+    xs, gs, ss = x.slot, gain.slot, shift.slot
 
     def rule(g):
-        accumulate(gain, (g * xhat).sum(axis=(0, 2, 3)))
-        accumulate(shift, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
+        accumulate(gs, (g * xhat).sum(axis=(0, 2, 3)))
+        accumulate(ss, g.sum(axis=(0, 2, 3)))
+        if xs.requires_grad:
             gh = g * gain4
             if axes is not None:
                 gh = gh - gh.mean(axis=axes, keepdims=True) \
                     - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
-            accumulate(x, gh * rstd)
+            accumulate(xs, gh * rstd)
 
     return make_op(xhat * gain4 + shift.data.reshape(1, -1, 1, 1), rule, x, gain, shift)
 
@@ -250,16 +269,17 @@ def channel_shuffle(x: Tensor, groups: int) -> Tensor:
 
     Channels reshape to (groups, C/groups), transpose, and flatten, so
     group members interleave. The permutation is a bijection; applying
-    channel_shuffle with C/groups groups inverts it.
+    channel_shuffle with C/groups groups inverts it. Keeps: the inverse
+    permutation.
     """
     c = x.shape[1]
     if c % groups != 0:
         raise ShapeError(f"channel_shuffle: channels {c} not divisible by groups {groups}")
     perm = np.arange(c).reshape(groups, c // groups).T.ravel()
-    inv = np.argsort(perm)
+    slot, inv = x.slot, np.argsort(perm)
 
     def rule(g):
-        accumulate(x, np.ascontiguousarray(g[:, inv]))
+        accumulate(slot, np.ascontiguousarray(g[:, inv]))
 
     return make_op(np.ascontiguousarray(x.data[:, perm]), rule, x)
 
@@ -280,33 +300,42 @@ def concat_channels(parts) -> Tensor:
 
 
 def upsample_nearest(x: Tensor) -> Tensor:
-    """Double the height and width of a [n, c, h, w] map by repeating each cell."""
+    """Double the height and width of a [n, c, h, w] map by repeating each cell.
+
+    Keeps: the input's shape.
+    """
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest: input must be 4D, got {x.shape}")
     n, c, h, w = x.shape
+    slot = x.slot
 
     def rule(g):
-        accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+        accumulate(slot, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
     return make_op(x.data.repeat(2, axis=2).repeat(2, axis=3), rule, x)
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis: x @ w.T + bias, weight [out, in]."""
+    """Affine map over the last axis: x @ w.T + bias, weight [out, in].
+
+    Keeps: ``x``'s values if ``w`` needs a gradient, ``w``'s if ``x`` does.
+    """
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input features {x.shape[-1]} != weight in-dim {w.shape[1]}")
     out = x.data @ w.data.T
     if bias is not None:
         out = out + bias.data
+    xs, ws, bs = x.slot, w.slot, bias.slot if bias is not None else None
+    xv = x.data if ws.requires_grad else None
+    wv = w.data if xs.requires_grad else None
 
     def rule(g):
-        if bias is not None:
-            accumulate(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
-        if w.requires_grad:
+        if bs is not None:
+            accumulate(bs, g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if xv is not None:
             g2 = g.reshape(-1, g.shape[-1])
-            x2 = x.data.reshape(-1, x.data.shape[-1])
-            accumulate(w, g2.T @ x2)
-        if x.requires_grad:
-            accumulate(x, g @ w.data)
+            accumulate(ws, g2.T @ xv.reshape(-1, xv.shape[-1]))
+        if wv is not None:
+            accumulate(xs, g @ wv)
 
     return make_op(out, rule, x, w, bias)

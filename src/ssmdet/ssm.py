@@ -313,6 +313,9 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
     chunk buffer [steps, batch, N, D] within 256 KiB, at least N and at
     most L (64, 32 and 16 steps at batch 1 and D = 64, 128 and 256 with
     N = 16 in float32; 16 at batch 8). Every chunk length gives the same y.
+
+    Keeps: the values of x, delta, B, P and Q, A as [N, D], and the chunk
+    start states.
     """
     bt, length, d = x.shape
     n = A.shape[1]
@@ -342,15 +345,13 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
 
     y, _ = _chunked_scan(xd, qd, n, xd.dtype, discretize, readout, block_len, starts)
 
+    slots = [t.slot for t in (x, delta, A, B, P, Q)]
+
     def rule(g):
         gx, gdelta, ga, gb, gp, gq = _scan_backward(g, xd, dd, a_t, bd, pd, qd, discretize,
                                                     starts, block_len)
-        accumulate(x, gx)
-        accumulate(delta, gdelta)
-        accumulate(A, ga.T)
-        accumulate(B, gb)
-        accumulate(P, gp)
-        accumulate(Q, gq)
+        for slot, grad in zip(slots, (gx, gdelta, ga.T, gb, gp, gq)):
+            accumulate(slot, grad)
 
     return make_op(y, rule, x, delta, A, B, P, Q)
 

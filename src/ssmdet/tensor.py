@@ -2,12 +2,17 @@
 
 The engine is deliberately small. Values are float32/float64 numpy arrays
 wrapped in :class:`Tensor`; feature maps use batch-channel-height-width
-order with row-major storage. Every differentiable operation appends one
-``(output, backward_rule)`` node to the active :class:`Tape`. Because the
-recording order is an execution order, replaying the rules in reverse is
-a valid reverse-topological walk: each node fires exactly once, and
-gradients of fanned-out tensors accumulate additively. Backward consumes
-the tape: each node is dropped, with its output's gradient, as it fires.
+order with row-major storage. A tensor's gradient state (``grad`` and
+``requires_grad``) lives in its :class:`GradSlot`. Every differentiable
+operation appends one ``(output slot, backward_rule)`` node to the active
+:class:`Tape`. A rule holds its inputs' slots and only the arrays its
+backward reads, each op naming them in a "keeps" note; so an op output
+that no backward reads is freed as soon as the forward drops its tensor,
+not when backward runs. Because the recording order is an execution
+order, replaying the rules in reverse is a valid reverse-topological walk:
+each node fires exactly once, and gradients of fanned-out tensors
+accumulate additively. Backward consumes the tape: each node is dropped,
+with its output's gradient, as it fires.
 
 Forward evaluation with no active tape records nothing. Inside
 :func:`inference`, batch norm uses its running statistics whatever the
@@ -25,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "GradSlot",
     "ShapeError",
     "Tape",
     "Tensor",
@@ -75,11 +81,21 @@ def inference():
         _TLS.inference = outer
 
 
+class GradSlot:
+    """A tensor's gradient state: what the tape and backward rules hold of it."""
+
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad: bool = False):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = bool(requires_grad)
+
+
 class Tape:
     """Ordered record of executed operations, replayed in reverse and consumed by backward."""
 
     def __init__(self) -> None:
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._nodes: list[tuple[GradSlot, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -107,14 +123,14 @@ def backward(tape: Tape, loss: "Tensor") -> None:
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
     while tape._nodes:
-        out, rule = tape._nodes.pop()
-        g, out.grad = out.grad, None
+        slot, rule = tape._nodes.pop()
+        g, slot.grad = slot.grad, None
         if g is not None:
             rule(g)
 
 
-def accumulate(t: "Tensor", g: np.ndarray) -> None:
-    """Add a gradient contribution to a tensor (fan-out sums)."""
+def accumulate(t: "Tensor | GradSlot", g: np.ndarray) -> None:
+    """Add a gradient contribution to a tensor or its slot (fan-out sums)."""
     if not t.requires_grad:
         return
     t.grad = g if t.grad is None else t.grad + g
@@ -125,14 +141,17 @@ def make_op(out_data: np.ndarray, rule: Callable[[np.ndarray], None], *inputs) -
 
     ``rule(gout)`` must route gradients into the inputs via ``accumulate``.
     When no tape is active (or no input requires grad) the rule is dropped.
+    The tape holds the output's slot, not the output: a rule that holds
+    its inputs' slots and no more than the arrays it reads lets every
+    other array go when the forward drops it.
     """
     tape = active_tape()
     rec = tape is not None and any(
-        isinstance(t, Tensor) and t.requires_grad for t in inputs
+        isinstance(t, Tensor) and t.slot.requires_grad for t in inputs
     )
     out = Tensor(out_data, requires_grad=rec)
     if rec:
-        tape._nodes.append((out, rule))
+        tape._nodes.append((out.slot, rule))
     return out
 
 
@@ -156,17 +175,20 @@ def elementwise(a: "Tensor", b, out: np.ndarray, da: Callable, db: Callable | No
     output's gradient into each operand's contribution at the output's shape;
     it is summed down to the operand's shape. Only a Tensor ``b`` takes a
     ``db``, and an operand that does not require a gradient gets none.
+    Keeps: each gradient-requiring operand's slot and shape, and its
+    derivative with the arrays that derivative closes over; the other
+    derivative, and what it closes over, is dropped.
     """
     if isinstance(b, Tensor):
         _check_same_dtype(a, b)
     else:
         b = None
+    wants = [(t.slot, t.data.shape, d) for t, d in ((a, da), (b, db))
+             if t is not None and t.slot.requires_grad]
 
     def rule(g):
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(da(g), a.data.shape))
-        if b is not None and b.requires_grad:
-            accumulate(b, _unbroadcast(db(g), b.data.shape))
+        for slot, shape, d in wants:
+            accumulate(slot, _unbroadcast(d(g), shape))
 
     return make_op(out, rule, a, b)
 
@@ -177,16 +199,18 @@ def _value(x):
 
 def _reduce(a: "Tensor", how: str, axis, keepdims: bool) -> "Tensor":
     """``a.data.sum`` or ``a.data.mean`` over ``axis``; backward spreads ``g``
-    (``g / n`` for a mean of ``n`` values) evenly over the reduced axes."""
+    (``g / n`` for a mean of ``n`` values) evenly over the reduced axes.
+    Keeps: ``a``'s slot and shape."""
     axes = _axis_tuple(axis, a.ndim)
     out = getattr(a.data, how)(axis=axes if axis is not None else None, keepdims=keepdims)
+    slot, shape = a.slot, a.data.shape
 
     def rule(g):
         if how == "mean":
-            g = g / int(np.prod([a.data.shape[i] for i in axes]))
-        if not keepdims and a.ndim:
+            g = g / int(np.prod([shape[i] for i in axes]))
+        if not keepdims and shape:
             g = np.expand_dims(g, axes)
-        accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        accumulate(slot, np.broadcast_to(g, shape).copy())
 
     return make_op(out, rule, a)
 
@@ -204,10 +228,25 @@ def _axis_tuple(axis, ndim: int) -> tuple:
     return tuple(a % ndim for a in axis)
 
 
-class Tensor:
-    """Dense multi-dimensional array with an optional gradient buffer."""
+def _zeros_like_later(a: np.ndarray) -> Callable[[], np.ndarray]:
+    """A maker of ``np.zeros_like(a)`` that holds ``a``'s shape, dtype and axis
+    order, not ``a``. The zeros get numpy's keep-order layout of ``a``, so a
+    gradient built in them is laid out, and later summed, in the same order
+    as one built in ``np.zeros_like(a)``."""
+    shape, dtype, strides = a.shape, a.dtype, a.strides
+    if a.flags.c_contiguous or a.flags.f_contiguous:
+        order = "C" if a.flags.c_contiguous else "F"
+        return lambda: np.zeros(shape, dtype, order)
+    # numpy's keep order: axes by decreasing absolute stride, ties in axis order
+    perm = sorted(range(a.ndim), key=lambda i: -abs(strides[i]))
+    inv = tuple(np.argsort(perm))
+    return lambda: np.zeros([shape[i] for i in perm], dtype).transpose(inv)
 
-    __slots__ = ("data", "grad", "requires_grad")
+
+class Tensor:
+    """Dense multi-dimensional array with a gradient slot."""
+
+    __slots__ = ("data", "slot")
     __array_ufunc__ = None     # ``array - tensor`` calls __rsub__, not numpy's object loop
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
@@ -217,8 +256,23 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.slot = GradSlot(requires_grad)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.slot.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self.slot.requires_grad = bool(flag)
 
     # ---- introspection ------------------------------------------------
     @property
@@ -258,9 +312,10 @@ class Tensor:
     def __rsub__(self, other):
         return elementwise(self, other, other - self.data, lambda g: -g)
 
+    # mul, div and pow keep the operand values their derivatives read
     def __mul__(self, other):
-        b = _value(other)
-        return elementwise(self, other, self.data * b, lambda g: g * b, lambda g: g * self.data)
+        a, b = self.data, _value(other)
+        return elementwise(self, other, a * b, lambda g: g * b, lambda g: g * a)
 
     __rmul__ = __mul__
 
@@ -273,7 +328,8 @@ class Tensor:
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        return elementwise(self, None, self.data ** p, lambda g: g * (p * self.data ** (p - 1)))
+        a = self.data
+        return elementwise(self, None, a ** p, lambda g: g * (p * a ** (p - 1)))
 
     # ---- reductions ----------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False):
@@ -283,29 +339,29 @@ class Tensor:
         return _reduce(self, "mean", axis, keepdims)
 
     # ---- structure -----------------------------------------------------
+    # each keeps the input's slot and what it needs to shape the gradient
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        orig = self.data.shape
-        return make_op(self.data.reshape(shape), lambda g: accumulate(self, g.reshape(orig)), self)
+        slot, orig = self.slot, self.data.shape
+        return make_op(self.data.reshape(shape), lambda g: accumulate(slot, g.reshape(orig)), self)
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inv = tuple(np.argsort(axes))
-        return make_op(self.data.transpose(axes), lambda g: accumulate(self, g.transpose(inv)), self)
+        slot, inv = self.slot, tuple(np.argsort(axes))
+        return make_op(self.data.transpose(axes), lambda g: accumulate(slot, g.transpose(inv)), self)
 
     def __getitem__(self, key):
         _validate_basic_key(key)
-        a = self
-        out_data = a.data[key]
+        slot, zeros = self.slot, _zeros_like_later(self.data)
 
         def rule(g):
-            gx = np.zeros_like(a.data)
+            gx = zeros()
             gx[key] += g
-            accumulate(a, gx)
+            accumulate(slot, gx)
 
-        return make_op(out_data.copy(), rule, a)
+        return make_op(self.data[key].copy(), rule, self)
 
 
 def _validate_basic_key(key) -> None:
@@ -318,41 +374,46 @@ def _validate_basic_key(key) -> None:
 # ---- free functions ------------------------------------------------------
 
 def exp(x: Tensor) -> Tensor:
+    """Keeps: its output."""
     out = np.exp(x.data)
     return elementwise(x, None, out, lambda g: g * out)
 
 
 def maximum(a: Tensor, b) -> Tensor:
-    """Elementwise max; ties route their gradient to the first operand."""
+    """Elementwise max; ties route their gradient to the first operand. Keeps: the mask."""
     bv = _value(b)
     take_a = a.data >= bv
     return elementwise(a, b, np.maximum(a.data, bv), lambda g: g * take_a, lambda g: g * ~take_a)
 
 
 def minimum(a: Tensor, b) -> Tensor:
+    """Elementwise min; ties route their gradient to the first operand. Keeps: the mask."""
     bv = _value(b)
     take_a = a.data <= bv
     return elementwise(a, b, np.minimum(a.data, bv), lambda g: g * take_a, lambda g: g * ~take_a)
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
+    """Reverse ``x`` along ``axis``. Keeps: ``x``'s slot."""
+    slot = x.slot
     return make_op(np.ascontiguousarray(np.flip(x.data, axis=axis)),
-                   lambda g: accumulate(x, np.flip(g, axis=axis)), x)
+                   lambda g: accumulate(slot, np.flip(g, axis=axis)), x)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join ``parts`` along ``axis``. Keeps: the parts' slots and offsets."""
     parts = list(parts)
     if not parts:
         raise ShapeError("concat of zero tensors")
     for p in parts[1:]:
         _check_same_dtype(parts[0], p)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    slots = [p.slot for p in parts]
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
     def rule(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            accumulate(p, g[tuple(idx)])
+            accumulate(slot, g[tuple(idx)])
 
     return make_op(np.concatenate([p.data for p in parts], axis=axis), rule, *parts)

@@ -257,6 +257,38 @@ def detection_loss_scalar(cls_maps, reg_maps, batch_boxes, strides):
     return cls_loss + 2.5 * box_loss, cls_loss, box_loss
 
 
+def decode_loops(per_level_maps, strides, conf_threshold, max_dets, frame_hw):
+    """Per-cell reference of the head decode, as (box, score, class_id) rows.
+
+    Each cell takes its first highest-scoring class and is kept when that
+    score reaches the threshold; its box is the cell center pushed out by
+    the four distances in stride units, clamped to the frame. Rows are
+    ranked by a stable sort on the score, so equal scores stay in
+    level-then-row-major order, and the first ``max_dets`` are returned.
+    """
+    fh, fw = float(frame_hw[0]), float(frame_hw[1])
+    rows = []
+    for (cls_map, reg_map), stride in zip(per_level_maps, strides):
+        scores = 1.0 / (1.0 + np.exp(-cls_map.astype(np.float64)))
+        nc, gh, gw = cls_map.shape
+        for i in range(gh):
+            for j in range(gw):
+                best = 0
+                for c in range(1, nc):
+                    if scores[c, i, j] > scores[best, i, j]:
+                        best = c
+                score = float(scores[best, i, j])
+                if score < conf_threshold:
+                    continue
+                cx, cy = (j + 0.5) * stride, (i + 0.5) * stride
+                d = [float(reg_map[k, i, j]) * stride for k in range(4)]
+                box = (min(max(cx - d[0], 0.0), fw), min(max(cy - d[1], 0.0), fh),
+                       min(max(cx + d[2], 0.0), fw), min(max(cy + d[3], 0.0), fh))
+                rows.append((box, score, best))
+    rows.sort(key=lambda r: -r[1])
+    return rows[:max_dets]
+
+
 def random_detections(rng, n_images, max_boxes, n_classes, frame=100.0):
     """Random prediction/ground-truth pairs for oracle comparisons."""
     from ssmdet.model import Detection

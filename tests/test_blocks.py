@@ -1,5 +1,7 @@
 """Block semantics: attention-conv pipeline, CSP, scan mixer, fusion, stem."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from ssmdet import ops
 from ssmdet.blocks import (
+    ConvBnAct,
     EcaConv,
+    EcaConvBlock,
     EcaCsp,
     Ffn,
     SimVss,
@@ -18,7 +22,7 @@ from ssmdet.blocks import (
     strip_ratio,
 )
 from ssmdet.gradcheck import grad_check
-from ssmdet.tensor import ShapeError, Tensor
+from ssmdet.tensor import ShapeError, Tape, Tensor
 
 
 class TestFormulas:
@@ -259,3 +263,35 @@ class TestStem:
         m = Stem(rng, 3, 4, 8)
         with pytest.raises(ShapeError, match="divisible by 4"):
             m(Tensor(np.zeros((1, 3, 30, 32), dtype=np.float32)))
+
+
+class TestRetainedMemory:
+    """A taped forward keeps only what backward reads: each rule holds its
+    inputs' gradient slots and the arrays it names, so an op output no rule
+    reads (a conv output under batch norm, a split, concat or shuffle copy,
+    a scan output before the merge) is freed during the forward."""
+
+    @staticmethod
+    def held_per_output(block, shape):
+        """Bytes a taped forward of ``block`` leaves allocated, per byte of its output."""
+        x = Tensor(np.random.default_rng(0).standard_normal(shape), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                y = block(x)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return held / y.data.nbytes
+
+    # measured 3.0x (xhat, sigmoid, output), 3.5x (plus the attended half)
+    # and 36.6x; while the tape held every op output they were 5.0x, 8.5x, 59.9x
+    @pytest.mark.parametrize("make,bound", [
+        (lambda rng: ConvBnAct(rng, 32, 32, 3), 3.5),
+        (lambda rng: EcaConvBlock(rng, 32, 32, 3), 4.0),
+        (lambda rng: SimVss(rng, 32), 40.0),
+    ], ids=["conv_bn_act", "eca_conv_block", "simvss"])
+    def test_taped_block_holds_what_backward_reads(self, make, bound):
+        ratio = self.held_per_output(make(np.random.default_rng(1)), (8, 32, 20, 20))
+        assert ratio <= bound, ratio

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import decode_loops
 from ssmdet.blocks import Conv2dLayer, conv_flops
 from ssmdet.model import Detector, ScaleSpec, decode, get_scale
 from ssmdet.tensor import ShapeError, Tape, Tensor
@@ -246,6 +247,25 @@ class TestDecode:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             decode([], (8,), 1.5, 10, (64, 64))
+
+    @pytest.mark.parametrize("case", ["random", "ties", "none"])
+    def test_matches_per_cell_reference(self, case):
+        # the three desk levels (160 px input): 525 cells, near the 1% prior
+        rng = np.random.default_rng(8)
+        maps = []
+        for grid in (20, 10, 5):
+            logits = rng.normal(-4.6, 1.0, (3, grid, grid))
+            if case == "ties":      # a few distinct scores, so most cells tie
+                logits = np.round(logits)
+            if case == "none":
+                logits = np.full((3, grid, grid), -40.0)
+            maps.append((logits.astype(np.float32),
+                         rng.uniform(-1.0, 30.0, (4, grid, grid)).astype(np.float32)))
+        for max_dets in (1, 300, 600):
+            dets = decode(maps, (8, 16, 32), 0.001, max_dets, (160, 160))
+            want = decode_loops(maps, (8, 16, 32), 0.001, max_dets, (160, 160))
+            assert [(d.box, d.score, d.class_id) for d in dets] == want
+            assert len(want) == (0 if case == "none" else min(max_dets, 525))
 
 
 class TestAccounting:

@@ -323,6 +323,21 @@ class TestActivations:
         assert abs(analytic - 0.92767) < 1e-5
         assert abs(fd - analytic) / analytic <= 1e-5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_gradient_is_input_formula_to_the_bit(self, dtype):
+        # the rule keeps s and its output z = x*s, not x: s + z*(1-s) is the
+        # input-based s + x*s*(1-s) with its first product already taken
+        rng = np.random.default_rng(12)
+        x = np.concatenate([[-1000.0, 1000.0, 0.0], 12.0 * rng.standard_normal(4000)]).astype(dtype)
+        g = rng.standard_normal(x.size).astype(dtype)
+        with Tape() as tape:
+            t = Tensor(x, requires_grad=True)
+            loss = (ops.silu(t) * Tensor(g)).sum()
+        tape.backward(loss)
+        s = 0.5 * (1.0 + np.tanh(0.5 * x))
+        want = g * (s + x * s * (1.0 - s))
+        assert t.grad.dtype == dtype and t.grad.tobytes() == want.tobytes()
+
     def test_softplus_approaches_relu(self):
         x = np.array([-20.0, 20.0])
         got = ops.softplus(Tensor(x)).data

@@ -1,6 +1,7 @@
 """Tape and primitive-op behavior."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -88,6 +89,35 @@ class TestBackward:
             tracemalloc.stop()
         assert peak <= 3 * x.data.nbytes, peak / x.data.nbytes
         assert np.allclose(x.grad, 1.001 ** 20, rtol=1e-12)
+
+    @pytest.mark.parametrize("consume,want", [
+        (lambda y: y + 1.0, np.full((4, 5), 2.0)),
+        (lambda y: y.reshape(-1) + 1.0, np.full((4, 5), 2.0)),
+        (lambda y: y[1:], np.repeat([[0.0], [2.0], [2.0], [2.0]], 5, axis=1)),
+    ], ids=["add", "reshape", "getitem"])
+    def test_output_no_backward_reads_is_freed(self, consume, want):
+        # the tape and these rules hold y's gradient slot, not y's values, so
+        # y's array goes as soon as the forward drops y
+        x = Tensor(np.ones((4, 5)), requires_grad=True)
+        with Tape() as tape:
+            y = x * 2.0
+            freed = weakref.ref(y.data)
+            out = consume(y)
+            del y
+            assert freed() is None
+            loss = out.sum()
+        tape.backward(loss)
+        assert np.array_equal(x.grad, want)
+
+    def test_getitem_gradient_keeps_input_layout(self):
+        # the slice's zeros take the layout of its (transposed) input, so the
+        # gradient that flows back through the transpose is C-ordered again
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        with Tape() as tape:
+            loss = x.transpose(2, 0, 1)[1:].sum()
+        tape.backward(loss)
+        assert x.grad.strides == np.zeros_like(x.data).strides
+        assert np.array_equal(x.grad, np.repeat([[[0.0, 1.0, 1.0, 1.0]]], 6, axis=0).reshape(2, 3, 4))
 
     def test_unused_branches_get_no_gradient(self):
         with Tape() as tape:
