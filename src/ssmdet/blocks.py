@@ -202,14 +202,18 @@ class LayerNorm(Module):
 
 
 class ConvBnAct(Conv2dLayer):
-    """Conv (no bias) -> batch norm -> SiLU, the detector's standard unit."""
+    """Conv (no bias) -> batch norm -> SiLU, the detector's standard unit.
+
+    Keeps: the conv output; the norm and SiLU re-run in backward
+    (:func:`ssmdet.tensor.recompute`).
+    """
 
     def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1):
         super().__init__(rng, c_in, c_out, kernel, stride, groups, bias=False)
         self.norm = BatchNorm(c_out)
 
     def forward(self, x):
-        return ops.silu(self.norm(super().forward(x)))
+        return T.recompute(lambda c: ops.silu(self.norm(c)), super().forward(x))
 
 
 # ---- channel attention ------------------------------------------------------
@@ -298,7 +302,11 @@ class EcaConv(Conv2dLayer):
 
 
 class EcaConvBlock(Module):
-    """EcaConv wrapped with the BN + SiLU convention used in the network."""
+    """EcaConv wrapped with the BN + SiLU convention used in the network.
+
+    Keeps: the EcaConv output; the norm and SiLU re-run in backward, as in
+    :class:`ConvBnAct`.
+    """
 
     def __init__(self, rng, c_in, c_out, kernel=3, stride=1):
         super().__init__()
@@ -306,7 +314,7 @@ class EcaConvBlock(Module):
         self.norm = BatchNorm(c_out)
 
     def forward(self, x):
-        return ops.silu(self.norm(self.eca(x)))
+        return T.recompute(lambda c: ops.silu(self.norm(c)), self.eca(x))
 
 
 class EcaCsp(Module):

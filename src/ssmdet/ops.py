@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, accumulate, concat, elementwise, make_op
+from .tensor import ShapeError, Tensor, accumulate, concat, elementwise, make_op, recomputing
 
 __all__ = [
     "batch_norm",
@@ -226,7 +226,8 @@ def batch_norm(x: Tensor, gain: Tensor, shift: Tensor,
     """Per-channel normalization over batch and spatial dims.
 
     Train mode normalizes with batch statistics and moves the running
-    stats by an exponential average; infer mode uses the running stats.
+    stats by an exponential average, except in a backward re-run (see
+    :func:`ssmdet.tensor.recompute`); infer mode uses the running stats.
     """
     _check_norm_args("batch_norm", x, gain, shift)
     c = x.shape[1]
@@ -240,8 +241,9 @@ def batch_norm(x: Tensor, gain: Tensor, shift: Tensor,
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
-    running_mean += _MOMENTUM * (mu.reshape(c) - running_mean)
-    running_var += _MOMENTUM * (var.reshape(c) - running_var)
+    if not recomputing():
+        running_mean += _MOMENTUM * (mu.reshape(c) - running_mean)
+        running_var += _MOMENTUM * (var.reshape(c) - running_var)
     return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, axes)
 
 

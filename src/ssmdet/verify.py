@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .blocks import EcaConv, EcaConvBlock, EcaCsp, Ffn, SimVss, Vss
+from .blocks import ConvBnAct, EcaConv, EcaConvBlock, EcaCsp, Ffn, SimVss, Vss
 from .gradcheck import GradCheckReport, grad_check
 from .model import Head
 from .ssm import ssm_scan
@@ -107,8 +107,8 @@ def _check_scan(seed, **kw):
 
 
 def _check_block(build, x_shape, names, readout=lambda y: y):
-    """A check that builds a block, casts it to float64, draws ``x`` of
-    ``x_shape`` and checks ``x`` plus the named parameters through ``readout``."""
+    """A check that builds a block (in train mode), casts it to float64, draws
+    ``x`` of ``x_shape`` and checks ``x`` plus the named parameters through ``readout``."""
     def check(seed, **kw):
         rng = np.random.default_rng(seed)
         m = build(rng).astype(_F64)
@@ -156,10 +156,12 @@ GRAD_CHECKS = {
     "shuffle_split": _check_shuffle_split,
     "linear": _check_linear,
     "scan": _check_scan,
+    "conv_bn_act": _check_block(lambda rng: ConvBnAct(rng, 4, 6, 3, stride=2), (2, 4, 6, 6),
+                                ["weight", "norm.gain", "norm.shift"]),
     "eca_conv": _check_block(lambda rng: EcaConv(rng, 4, 8), (1, 4, 5, 5),
                              ["weight", "attn_weight", "bias"]),
     "eca_conv_block": _check_block(lambda rng: EcaConvBlock(rng, 4, 6, stride=2), (2, 4, 6, 6),
-                                   ["eca.weight", "norm.gain"]),
+                                   ["eca.weight", "norm.gain", "norm.shift"]),
     "eca_csp": _check_block(lambda rng: EcaCsp(rng, 8, 8, n=1), (1, 8, 6, 6),
                             ["pre.weight", "units.0.eca.weight"]),
     "ffn": _check_block(lambda rng: Ffn(rng, 6), (2, 6, 3, 3),
