@@ -179,16 +179,19 @@ class Conv2dLayer(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, channels):
+    """Batch norm, followed by a SiLU in the same taped op when ``silu`` is set."""
+
+    def __init__(self, channels, silu=False):
         super().__init__()
+        self.silu = silu
         self.gain = parameter(np.ones(channels))
         self.shift = parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
     def forward(self, x):
-        return ops.batch_norm(x, self.gain, self.shift, self.running_mean,
-                              self.running_var, self.training and not T.inferring())
+        return ops.batch_norm(x, self.gain, self.shift, self.running_mean, self.running_var,
+                              self.training and not T.inferring(), self.silu)
 
 
 class LayerNorm(Module):
@@ -204,16 +207,16 @@ class LayerNorm(Module):
 class ConvBnAct(Conv2dLayer):
     """Conv (no bias) -> batch norm -> SiLU, the detector's standard unit.
 
-    Keeps: the conv output; the norm and SiLU re-run in backward
-    (:func:`ssmdet.tensor.recompute`).
+    Keeps: the norm's ``xhat``; the norm and SiLU are one taped op, whose
+    backward re-derives the sigmoid (:func:`ssmdet.ops.batch_norm`).
     """
 
     def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1):
         super().__init__(rng, c_in, c_out, kernel, stride, groups, bias=False)
-        self.norm = BatchNorm(c_out)
+        self.norm = BatchNorm(c_out, silu=True)
 
     def forward(self, x):
-        return T.recompute(lambda c: ops.silu(self.norm(c)), super().forward(x))
+        return self.norm(super().forward(x))
 
 
 # ---- channel attention ------------------------------------------------------
@@ -304,17 +307,17 @@ class EcaConv(Conv2dLayer):
 class EcaConvBlock(Module):
     """EcaConv wrapped with the BN + SiLU convention used in the network.
 
-    Keeps: the EcaConv output; the norm and SiLU re-run in backward, as in
+    Keeps: the norm's ``xhat``, with the SiLU inside the norm's op, as in
     :class:`ConvBnAct`.
     """
 
     def __init__(self, rng, c_in, c_out, kernel=3, stride=1):
         super().__init__()
         self.eca = EcaConv(rng, c_in, c_out, kernel, stride, bias=False)
-        self.norm = BatchNorm(c_out)
+        self.norm = BatchNorm(c_out, silu=True)
 
     def forward(self, x):
-        return T.recompute(lambda c: ops.silu(self.norm(c)), self.eca(x))
+        return self.norm(self.eca(x))
 
 
 class EcaCsp(Module):

@@ -43,6 +43,10 @@ class RunConfig:
         if not self.lr_final < self.lr_initial:
             raise ConfigError(
                 f"lr_final {self.lr_final} must be smaller than lr_initial {self.lr_initial}")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes {self.num_classes} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size {self.batch_size} must be >= 1")
         if self.epochs < 0:

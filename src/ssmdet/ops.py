@@ -9,7 +9,9 @@ matmul is an outer product and runs as a multiply, with the same values.
 Tests hold it to direct nested-loop oracles. Convolution is
 cross-correlation (no kernel flip).
 Batch and layer norm are one taped op each, with a closed-form backward
-that keeps only the normalized input.
+that keeps only the normalized input. Batch norm can end in a SiLU inside
+that op: its backward re-derives the sigmoid from the normalized input
+instead of holding it.
 
 Each rule's "keeps" note names what it holds for backward besides its
 inputs' gradient slots (see :mod:`ssmdet.tensor`).
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, accumulate, concat, elementwise, make_op, recomputing
+from .tensor import ShapeError, Tensor, accumulate, concat, elementwise, make_op
 
 __all__ = [
     "batch_norm",
@@ -58,6 +60,13 @@ def silu(x: Tensor) -> Tensor:
     s = _sigmoid_stable(x.data)
     z = x.data * s
     return elementwise(x, None, z, lambda g: g * (s + z * (1.0 - s)))
+
+
+def _silu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times silu's derivative at ``x``, computed as :func:`silu`'s rule does."""
+    s = _sigmoid_stable(x)
+    z = x * s
+    return g * (s + z * (1.0 - s))
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -196,19 +205,24 @@ def _check_norm_args(name: str, x: Tensor, gain: Tensor, shift: Tensor) -> None:
 
 
 def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift: Tensor,
-               axes: tuple | None) -> Tensor:
-    """``xhat * gain + shift`` with ``xhat = xc * rstd`` as one taped op.
+               axes: tuple | None, silu: bool = False) -> Tensor:
+    """``h = xhat * gain + shift`` with ``xhat = xc * rstd`` as one taped op,
+    or ``silu(h)`` when ``silu`` is set.
 
     ``xc`` is ``x`` less its mean; both statistics were taken over ``axes``,
     or are constants when it is None. ``gx = rstd * (gh - mean(gh) - xhat *
-    mean(gh * xhat))`` over ``axes``, with ``gh = g * gain``.
-    Keeps: ``xhat``, ``rstd`` and the gain.
+    mean(gh * xhat))`` over ``axes``, with ``gh = g * gain``. With ``silu``,
+    ``g`` is first multiplied by :func:`silu`'s derivative, from ``h``
+    re-derived out of ``xhat``.
+    Keeps: ``xhat``, ``rstd``, the gain and the shift.
     """
     xhat = xc * rstd
-    gain4 = gain.data.reshape(1, -1, 1, 1)
+    gain4, shift4 = gain.data.reshape(1, -1, 1, 1), shift.data.reshape(1, -1, 1, 1)
     xs, gs, ss = x.slot, gain.slot, shift.slot
 
     def rule(g):
+        if silu:
+            g = _silu_grad(xhat * gain4 + shift4, g)
         accumulate(gs, (g * xhat).sum(axis=(0, 2, 3)))
         accumulate(ss, g.sum(axis=(0, 2, 3)))
         if xs.requires_grad:
@@ -218,33 +232,34 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
                     - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
             accumulate(xs, gh * rstd)
 
-    return make_op(xhat * gain4 + shift.data.reshape(1, -1, 1, 1), rule, x, gain, shift)
+    h = xhat * gain4 + shift4
+    return make_op(h * _sigmoid_stable(h) if silu else h, rule, x, gain, shift)
 
 
-def batch_norm(x: Tensor, gain: Tensor, shift: Tensor,
-               running_mean: np.ndarray, running_var: np.ndarray, training: bool) -> Tensor:
-    """Per-channel normalization over batch and spatial dims.
+def batch_norm(x: Tensor, gain: Tensor, shift: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, training: bool, silu: bool = False) -> Tensor:
+    """Per-channel normalization over batch and spatial dims, then a SiLU if ``silu``.
 
     Train mode normalizes with batch statistics and moves the running
-    stats by an exponential average, except in a backward re-run (see
-    :func:`ssmdet.tensor.recompute`); infer mode uses the running stats.
+    stats by an exponential average; infer mode uses the running stats.
+    The SiLU is part of the one taped op, with the values and gradients of
+    :func:`silu` applied to the norm's output.
     """
     _check_norm_args("batch_norm", x, gain, shift)
     c = x.shape[1]
     if not training:
         rm = running_mean.reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
         rs = (1.0 / np.sqrt(running_var + _EPS)).reshape(1, c, 1, 1).astype(x.data.dtype, copy=False)
-        return _normalize(x, x.data - rm, rs, gain, shift, None)
+        return _normalize(x, x.data - rm, rs, gain, shift, None, silu)
     if x.shape[0] * x.shape[2] * x.shape[3] == 0:
         raise ShapeError("batch_norm: empty batch in train mode")
     axes = (0, 2, 3)
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
-    if not recomputing():
-        running_mean += _MOMENTUM * (mu.reshape(c) - running_mean)
-        running_var += _MOMENTUM * (var.reshape(c) - running_var)
-    return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, axes)
+    running_mean += _MOMENTUM * (mu.reshape(c) - running_mean)
+    running_var += _MOMENTUM * (var.reshape(c) - running_var)
+    return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, axes, silu)
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:

@@ -18,17 +18,7 @@ Forward evaluation with no active tape records nothing. Inside
 :func:`inference`, batch norm uses its running statistics whatever the
 modules' ``training`` flags say, so a forward there writes nothing and is
 safe to run concurrently. Tape construction and backward are single-writer
-per tape; the active-tape stack and the inference and replay flags are
-thread-local.
-
-:func:`recompute` trades time for memory on a segment of ops: it runs the
-segment with the tape suspended and records one node that keeps only the
-segment's inputs (values and slots). Backward re-runs the segment under a
-private tape, with :func:`recomputing` set so that batch norm does not move
-its running statistics a second time, and drains that tape at once; the
-segment's parameters get their gradients there. The same ops run on the
-same values in the same order, so values and gradients are those of the
-plain segment to the bit.
+per tape; the active-tape stack and the inference flag are thread-local.
 """
 
 from __future__ import annotations
@@ -53,7 +43,6 @@ __all__ = [
     "make_op",
     "maximum",
     "minimum",
-    "recompute",
 ]
 
 
@@ -90,11 +79,6 @@ def inference():
         yield
     finally:
         _TLS.inference = outer
-
-
-def recomputing() -> bool:
-    """True while this thread re-runs a :func:`recompute` segment in backward."""
-    return getattr(_TLS, "recomputing", False)
 
 
 class GradSlot:
@@ -138,11 +122,6 @@ def backward(tape: Tape, loss: "Tensor") -> None:
     if loss.data.size != 1:
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    _drain(tape)
-
-
-def _drain(tape: Tape) -> None:
-    """Fire the tape's rules in reverse, popping each node with its output's gradient."""
     while tape._nodes:
         slot, rule = tape._nodes.pop()
         g, slot.grad = slot.grad, None
@@ -174,46 +153,6 @@ def make_op(out_data: np.ndarray, rule: Callable[[np.ndarray], None], *inputs) -
     if rec:
         tape._nodes.append((out.slot, rule))
     return out
-
-
-def recompute(fn: Callable[..., "Tensor"], *inputs: "Tensor") -> "Tensor":
-    """``fn(*inputs)``, recorded as one node that re-runs ``fn`` in backward.
-
-    ``fn`` must give the same values when re-run on the same inputs; the
-    tensors it closes over (parameters) get their gradients in the re-run.
-    With no active tape, no input requiring a gradient, or inside
-    :func:`inference` (whose mode a later backward need not share), this is
-    just ``fn(*inputs)``. Keeps: the inputs' values and slots.
-    """
-    tape = active_tape()
-    if tape is None or inferring() or not any(t.slot.requires_grad for t in inputs):
-        return fn(*inputs)
-    stack = _tape_stack()
-    stack.append(None)               # suspend recording for the forward
-    try:
-        out = fn(*inputs)
-    finally:
-        stack.pop()
-    kept = [(t.data, t.slot) for t in inputs]
-
-    def rule(g):
-        outer, _TLS.recomputing = recomputing(), True
-        try:
-            with Tape() as replay:
-                y = fn(*[_alias(data, slot) for data, slot in kept])
-        finally:
-            _TLS.recomputing = outer
-        accumulate(y, g)
-        _drain(replay)
-
-    return make_op(out.data, rule, *inputs)
-
-
-def _alias(data: np.ndarray, slot: GradSlot) -> "Tensor":
-    """A tensor over ``data`` whose gradient lands in ``slot``."""
-    t = Tensor(data)
-    t.slot = slot
-    return t
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -47,12 +47,12 @@ def _check_conv1d(seed, **kw):
     return grad_check(lambda *a: ops.conv1d(a[0], a[1]), [x, w], **kw)
 
 
-def _check_batch_norm(seed, training=True, **kw):
+def _check_batch_norm(seed, training=True, silu=False, **kw):
     rng = np.random.default_rng(seed)
     x, gain, shift = _t(rng, 3, 4, 5, 5), _t(rng, 4), _t(rng, 4)
     rm, rv = rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)
     return grad_check(
-        lambda *a: ops.batch_norm(a[0], a[1], a[2], rm, rv, training=training),
+        lambda *a: ops.batch_norm(a[0], a[1], a[2], rm, rv, training=training, silu=silu),
         [x, gain, shift], **kw)
 
 
@@ -150,6 +150,9 @@ GRAD_CHECKS = {
     "conv1d": _check_conv1d,
     "batch_norm": _check_batch_norm,
     "batch_norm_eval": lambda seed, **kw: _check_batch_norm(seed, training=False, **kw),
+    "batch_norm_silu": lambda seed, **kw: _check_batch_norm(seed, silu=True, **kw),
+    "batch_norm_silu_eval": lambda seed, **kw: _check_batch_norm(seed, training=False,
+                                                                 silu=True, **kw),
     "layer_norm": _check_layer_norm,
     "activations": _check_activations,
     "pool_upsample": _check_pool_upsample,

@@ -1,6 +1,7 @@
 """Block semantics: attention-conv pipeline, CSP, scan mixer, fusion, stem."""
 
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ssmdet.blocks import (
     strip_ratio,
 )
 from ssmdet.gradcheck import grad_check
-from ssmdet.tensor import ShapeError, Tape, Tensor
+from ssmdet.tensor import ShapeError, Tape, Tensor, inference
 
 
 class TestFormulas:
@@ -265,10 +266,12 @@ class TestStem:
             m(Tensor(np.zeros((1, 3, 30, 32), dtype=np.float32)))
 
 
-class TestRecomputedNormAct:
-    """ConvBnAct and EcaConvBlock run norm -> SiLU through ``tensor.recompute``:
-    their taped forward and backward match the explicit chain to the bit,
-    and the batch-norm running statistics move once per forward."""
+class TestFusedNormAct:
+    """ConvBnAct and EcaConvBlock end in batch norm with its SiLU in the same
+    taped op: forward and backward match the explicit norm -> SiLU chain to
+    the bit in train mode, in eval mode and under ``inference()`` (the path
+    ``Detector.detect`` takes), and a train forward moves the running
+    statistics once."""
 
     @staticmethod
     def conv_bn_act(rng):
@@ -280,23 +283,26 @@ class TestRecomputedNormAct:
         m = EcaConvBlock(rng, 4, 6, stride=2)
         return m, m.eca
 
+    @pytest.mark.parametrize("mode", ["train", "eval", "inference"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("build", ["conv_bn_act", "eca_conv_block"])
-    def test_matches_the_explicit_chain_to_the_bit(self, build, dtype):
+    def test_matches_the_explicit_chain_to_the_bit(self, build, dtype, mode):
         runs = []
-        for recomputed in (True, False):
+        for fused in (True, False):
             m, conv = getattr(self, build)(np.random.default_rng(5))
-            m.astype(dtype)
+            m.astype(dtype).train(mode == "train")
             norm = m.norm
             rng = np.random.default_rng(6)
+            norm.running_mean[...] = rng.standard_normal(6)
+            norm.running_var[...] = rng.uniform(0.5, 2.0, 6)
             x = Tensor(rng.standard_normal((2, 4, 8, 8)), dtype=dtype, requires_grad=True)
             probe = Tensor(rng.standard_normal((2, 6, 4, 4)), dtype=dtype)
-            with Tape() as tape:
-                if recomputed:
+            with Tape() as tape, inference() if mode == "inference" else nullcontext():
+                if fused:
                     y = m(x)
                 else:
-                    y = ops.silu(ops.batch_norm(conv(x), norm.gain, norm.shift,
-                                                norm.running_mean, norm.running_var, True))
+                    y = ops.silu(ops.batch_norm(conv(x), norm.gain, norm.shift, norm.running_mean,
+                                                norm.running_var, mode == "train"))
                 loss = (y * probe).sum()
             tape.backward(loss)
             arrays = [y.data, x.grad, norm.running_mean, norm.running_var]
@@ -327,9 +333,9 @@ class TestRetainedMemory:
             tracemalloc.stop()
         return held / y.data.nbytes
 
-    # measured 2.0x (the conv output and the output the next conv reads),
+    # measured 2.0x (the norm's xhat and the output the next conv reads),
     # 2.5x (plus the attended half) and 34.6x; the first two bounds date from
-    # when the norm and SiLU also kept xhat and the sigmoid (3.0x, 3.5x)
+    # when the norm and SiLU also kept the sigmoid (3.0x, 3.5x)
     @pytest.mark.parametrize("make,bound", [
         (lambda rng: ConvBnAct(rng, 32, 32, 3), 3.5),
         (lambda rng: EcaConvBlock(rng, 32, 32, 3), 4.0),
@@ -339,8 +345,8 @@ class TestRetainedMemory:
         ratio = self.held_per_output(make(np.random.default_rng(1)), (8, 32, 20, 20))
         assert ratio <= bound, ratio
 
-    # the norm -> SiLU pair re-runs in backward instead of holding xhat and
-    # the sigmoid (tensor.recompute)
+    # the SiLU is part of batch norm's op, whose backward re-derives the
+    # sigmoid from xhat instead of holding it
     @pytest.mark.parametrize("make,bound", [
         (lambda rng: ConvBnAct(rng, 32, 32, 3), 2.3),
         (lambda rng: EcaConvBlock(rng, 32, 32, 3), 2.8),

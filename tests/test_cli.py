@@ -103,6 +103,19 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert main(["param-count", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("config,argv,want", [
+    ("num_classes = 0\n", ["param-count"], "num_classes 0 must be >= 1"),
+    ("", ["check-shapes", "--seed", "-1"], "seed -1 must be >= 0"),
+], ids=["num-classes-0", "seed-1"])
+def test_bad_config_value_exits_1_with_one_error_line(tmp_path, capsys, config, argv, want):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [f"{argv[0]} error: {want}"]
+
+
 def test_full_pipeline(tmp_path, capsys):
     data_dir = tmp_path / "data"
     run_dir = tmp_path / "run"

@@ -89,3 +89,15 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_text("version = 9\n")
     with pytest.raises(ConfigError, match="version"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text,key", [
+    ("num_classes = 0\n", "num_classes"),
+    ("num_classes = -1\n", "num_classes"),
+    ("seed = -1\n", "seed"),
+])
+def test_values_below_their_minimum_rejected_naming_the_key(tmp_path, text, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{key} -?\\d+ must be >= "):
+        load_config(path)

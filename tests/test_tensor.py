@@ -1,9 +1,7 @@
 """Tape and primitive-op behavior."""
 
-import threading
 import tracemalloc
 import weakref
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -16,11 +14,8 @@ from ssmdet.tensor import (
     concat,
     exp,
     flip,
-    inference,
     maximum,
     minimum,
-    recompute,
-    recomputing,
 )
 
 
@@ -281,107 +276,3 @@ class TestStructure:
         y = x * 2.0
         assert not y.requires_grad
         assert y.grad is None
-
-
-class TestRecompute:
-    """``recompute(fn, *inputs)`` records one node that keeps the inputs and
-    re-runs ``fn`` in backward; otherwise it is ``fn(*inputs)``."""
-
-    @staticmethod
-    def counted(fn):
-        calls = []
-
-        def wrapped(*a):
-            calls.append(recomputing())
-            return fn(*a)
-        return wrapped, calls
-
-    def test_same_values_and_gradients_as_the_plain_chain(self):
-        w = Tensor([0.5, -2.0, 3.0], requires_grad=True)
-        grads = []
-        for segment in (lambda f, a: f(a), recompute):
-            x = Tensor([1.0, -1.5, 0.25], requires_grad=True)
-            w.grad = None
-            fn, calls = self.counted(lambda a: exp(a * w) * a)
-            with Tape() as tape:
-                y = segment(fn, x)
-                loss = (y * y).sum()
-            tape.backward(loss)
-            grads.append((y.data, x.grad, w.grad, calls))
-        (y0, gx0, gw0, plain), (y1, gx1, gw1, replayed) = grads
-        assert y0.tobytes() == y1.tobytes()
-        assert gx0.tobytes() == gx1.tobytes() and gw0.tobytes() == gw1.tobytes()
-        assert plain == [False] and replayed == [False, True]
-
-    def test_records_one_node_that_keeps_only_the_inputs(self):
-        x = Tensor(np.ones((4, 5)), requires_grad=True)
-        inner = []
-
-        def fn(a):
-            h = a * 3.0
-            inner.append(weakref.ref(h.data))
-            return exp(h)
-
-        with Tape() as tape:
-            y = recompute(fn, x)
-            assert len(tape) == 1 and y.requires_grad
-            assert inner[0]() is None
-            loss = y.sum()
-        tape.backward(loss)
-        assert np.array_equal(x.grad, 3.0 * np.exp(np.full((4, 5), 3.0)))
-
-    @pytest.mark.parametrize("where", ["no tape", "no grad", "inference"])
-    def test_otherwise_runs_fn_directly(self, where):
-        x = Tensor([1.0, 2.0], requires_grad=where != "no grad")
-        fn, calls = self.counted(lambda a: exp(a) * 2.0)
-        tape = Tape()
-        if where == "no tape":
-            y = recompute(fn, x)
-        else:
-            with tape, inference() if where == "inference" else nullcontext():
-                y = recompute(fn, x)
-        # no node of its own: fn's two ops record as they would without
-        # recompute, which is only under inference() here
-        assert len(tape) == (2 if where == "inference" else 0)
-        assert calls == [False]
-        assert np.array_equal(y.data, np.exp([1.0, 2.0]) * 2.0)
-
-    def test_node_without_gradient_does_not_replay(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        fn, calls = self.counted(exp)
-        with Tape() as tape:
-            recompute(fn, x)
-            loss = (x * 2.0).sum()
-        tape.backward(loss)
-        assert calls == [False] and len(tape) == 0
-        assert np.array_equal(x.grad, [2.0, 2.0])
-
-    def test_replay_flag_is_thread_local(self):
-        seen = []
-
-        def fn(a):
-            if recomputing():
-                t = threading.Thread(target=lambda: seen.append(recomputing()))
-                t.start()
-                t.join(timeout=10)
-                assert not t.is_alive()
-            return exp(a)
-
-        x = Tensor([0.5], requires_grad=True)
-        with Tape() as tape:
-            loss = recompute(fn, x).sum()
-        tape.backward(loss)
-        assert seen == [False] and not recomputing()
-
-    def test_replay_flag_restored_when_fn_raises(self):
-        def fn(a):
-            if recomputing():
-                raise RuntimeError("replay failed")
-            return exp(a)
-
-        x = Tensor([0.5], requires_grad=True)
-        with Tape() as tape:
-            loss = recompute(fn, x).sum()
-        with pytest.raises(RuntimeError, match="replay failed"):
-            tape.backward(loss)
-        assert not recomputing()
