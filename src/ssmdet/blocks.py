@@ -200,8 +200,8 @@ class LayerNorm(Module):
         self.gain = parameter(np.ones(channels))
         self.shift = parameter(np.zeros(channels))
 
-    def forward(self, x):
-        return ops.layer_norm(x, self.gain, self.shift)
+    def forward(self, x, gate=None):
+        return ops.layer_norm(x, self.gain, self.shift, gate)
 
 
 class ConvBnAct(Conv2dLayer):
@@ -367,11 +367,11 @@ class Vss(Module):
 
     1x1 expansion into a scan path and a gate, depthwise 3x3 + SiLU, a
     four-direction cross scan with one selective scan per direction,
-    merge, layer norm, gating, and a 1x1 projection back to the input
-    width. delta/B/P are per-position projections of the scanned
-    sequence; A stays diagonal via A = -exp(A_log); delta positivity
-    comes from softplus with a bias seeded so delta starts in
-    [0.001, 0.1].
+    merge, layer norm times the SiLU of the gate (one taped op), and a
+    1x1 projection back to the input width. delta/B/P are per-position
+    projections of the scanned sequence; A stays diagonal via
+    A = -exp(A_log); delta positivity comes from softplus with a bias
+    seeded so delta starts in [0.001, 0.1].
     """
 
     DIRECTIONS = 4
@@ -400,7 +400,7 @@ class Vss(Module):
         self.out_proj = Conv2dLayer(rng, d_inner, channels, 1)
 
     def forward(self, x):
-        n_batch, _, h, w = x.shape
+        h, w = x.shape[2:]
         u, z = ops.split_channels(self.in_proj(x), [self.d_inner, self.d_inner])
         u = ops.silu(self.dw(u))
         r, ns = self.dt_rank, self.state_size
@@ -413,9 +413,7 @@ class Vss(Module):
             delta = ops.softplus(ops.linear(dt_low, self.dt_w[k], self.dt_b[k]))
             a_diag = -T.exp(self.A_log[k])
             outs.append(ssm_scan(seq, delta, a_diag, b_seq, p_seq, self.skip[k]))
-        y = cross_merge(outs, h, w)
-        y = self.ln(y) * ops.silu(z)
-        return self.out_proj(y)
+        return self.out_proj(self.ln(cross_merge(outs, h, w), z))
 
     def flops(self, hw):
         h, w = hw

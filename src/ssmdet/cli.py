@@ -41,6 +41,13 @@ def _load_run_config(args) -> RunConfig:
     return cfg.validate()
 
 
+def _require_at_least(*checks) -> None:
+    """Reject the first ``(option, value, minimum)`` whose value is below its minimum."""
+    for name, value, low in checks:
+        if value < low:
+            raise ValueError(f"{name} {value} must be >= {low}")
+
+
 def _build_model(cfg: RunConfig) -> Detector:
     spec = get_scale(
         cfg.scale, cfg.num_classes,
@@ -73,8 +80,7 @@ def _cmd_grad_check(args) -> int:
     if unknown:
         print(f"grad-check error=unknown-blocks {','.join(unknown)}")
         return 2
-    if args.seeds < 1:
-        raise ValueError(f"seeds {args.seeds} must be >= 1")
+    _require_at_least(("seeds", args.seeds, 1))
     results = run_grad_suite(names, seeds=range(args.seeds))
     failed = 0
     for name, reports in results.items():
@@ -90,8 +96,9 @@ def _cmd_grad_check(args) -> int:
 def _cmd_scan_bench(args) -> int:
     lengths = [int(v) for v in args.lengths.split(",")]
     block_lens = [int(v) for v in args.block_lens.split(",")]
+    _require_at_least(("seed", args.seed, 0))
     rows = bench.bench_scan(lengths, args.channels, args.states, block_lens,
-                            repeats=args.repeats, seed=args.seed or 0)
+                            repeats=args.repeats, seed=args.seed)
     csv = bench.rows_to_csv(rows)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -115,8 +122,11 @@ def _cmd_param_count(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
+    # below 4 px a shape and its margin do not fit in the image
+    _require_at_least(("count", args.count, 1), ("image-size", args.image_size, 4),
+                      ("seed", args.seed, 0))
     annotated = data.gen_synthetic(args.count, args.image_size, args.classes,
-                                   args.seed or 0, args.out)
+                                   args.seed, args.out)
     n_boxes = sum(len(a.boxes) for a in annotated)
     print(f"gen-synthetic images={len(annotated)} boxes={n_boxes} out={args.out}")
     return 0

@@ -10,8 +10,9 @@ Tests hold it to direct nested-loop oracles. Convolution is
 cross-correlation (no kernel flip).
 Batch and layer norm are one taped op each, with a closed-form backward
 that keeps only the normalized input. Batch norm can end in a SiLU inside
-that op: its backward re-derives the sigmoid from the normalized input
-instead of holding it.
+that op, and layer norm in a SiLU gate (``norm(x) * silu(gate)``, which
+also keeps the gate): their backwards re-derive the sigmoid from the
+normalized input or the gate instead of holding it.
 
 Each rule's "keeps" note names what it holds for backward besides its
 inputs' gradient slots (see :mod:`ssmdet.tensor`).
@@ -70,11 +71,15 @@ def _silu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: Tensor) -> Tensor:
-    """log(1 + e^x). Keeps: its input."""
+    """out = log(1 + e^x). Keeps: its output.
+
+    The derivative sigmoid(x) is 1 - e^-out, taken as -expm1(-out), so a
+    consumer that keeps the output (the scan keeps delta) shares the array.
+    """
     # this form does not overflow; np.logaddexp is a scalar loop
     xd = x.data
     out = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
-    return elementwise(x, None, out, lambda g: g * _sigmoid_stable(xd))
+    return elementwise(x, None, out, lambda g: g * -np.expm1(-out))
 
 
 # ---- convolution ----------------------------------------------------------
@@ -205,24 +210,31 @@ def _check_norm_args(name: str, x: Tensor, gain: Tensor, shift: Tensor) -> None:
 
 
 def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift: Tensor,
-               axes: tuple | None, silu: bool = False) -> Tensor:
-    """``h = xhat * gain + shift`` with ``xhat = xc * rstd`` as one taped op,
-    or ``silu(h)`` when ``silu`` is set.
+               axes: tuple | None, silu: bool = False, gate: Tensor | None = None) -> Tensor:
+    """``h = xhat * gain + shift`` with ``xhat = xc * rstd`` as one taped op;
+    ``silu(h)`` when ``silu`` is set, ``h * silu(gate)`` when a gate is given.
 
     ``xc`` is ``x`` less its mean; both statistics were taken over ``axes``,
     or are constants when it is None. ``gx = rstd * (gh - mean(gh) - xhat *
     mean(gh * xhat))`` over ``axes``, with ``gh = g * gain``. With ``silu``,
     ``g`` is first multiplied by :func:`silu`'s derivative, from ``h``
-    re-derived out of ``xhat``.
-    Keeps: ``xhat``, ``rstd``, the gain and the shift.
+    re-derived out of ``xhat``; with a gate, the gate gets ``g * h`` times
+    that derivative at the gate, and ``g`` is multiplied by ``silu(gate)``.
+    Keeps: ``xhat``, ``rstd``, the gain, the shift and the gate's values.
     """
     xhat = xc * rstd
     gain4, shift4 = gain.data.reshape(1, -1, 1, 1), shift.data.reshape(1, -1, 1, 1)
     xs, gs, ss = x.slot, gain.slot, shift.slot
+    gate_v, gate_s = (gate.data, gate.slot) if gate is not None else (None, None)
 
     def rule(g):
         if silu:
             g = _silu_grad(xhat * gain4 + shift4, g)
+        elif gate_v is not None:
+            s = _sigmoid_stable(gate_v)
+            z = gate_v * s
+            accumulate(gate_s, g * (xhat * gain4 + shift4) * (s + z * (1.0 - s)))
+            g = g * z
         accumulate(gs, (g * xhat).sum(axis=(0, 2, 3)))
         accumulate(ss, g.sum(axis=(0, 2, 3)))
         if xs.requires_grad:
@@ -233,7 +245,11 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
             accumulate(xs, gh * rstd)
 
     h = xhat * gain4 + shift4
-    return make_op(h * _sigmoid_stable(h) if silu else h, rule, x, gain, shift)
+    if silu:
+        h = h * _sigmoid_stable(h)
+    elif gate_v is not None:
+        h = h * (gate_v * _sigmoid_stable(gate_v))
+    return make_op(h, rule, x, gain, shift, gate)
 
 
 def batch_norm(x: Tensor, gain: Tensor, shift: Tensor, running_mean: np.ndarray,
@@ -262,13 +278,22 @@ def batch_norm(x: Tensor, gain: Tensor, shift: Tensor, running_mean: np.ndarray,
     return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, axes, silu)
 
 
-def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
-    """Normalize over the channel axis independently per spatial position."""
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, gate: Tensor | None = None) -> Tensor:
+    """Normalize over the channel axis independently per spatial position,
+    then multiply by ``silu(gate)`` if a gate of ``x``'s shape is given.
+
+    The gating is part of the one taped op, with the values and gradients
+    of ``layer_norm(x) * silu(gate)``. Keeps: ``xhat``, ``rstd``, the gain,
+    the shift and the gate's values.
+    """
     _check_norm_args("layer_norm", x, gain, shift)
+    if gate is not None and (gate.shape != x.shape or gate.dtype != x.dtype):
+        raise ShapeError(f"layer_norm: gate {gate.shape} {gate.dtype} must match input "
+                         f"{x.shape} {x.dtype}")
     mu = x.data.mean(axis=(1,), keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=(1,), keepdims=True)
-    return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, (1,))
+    return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, (1,), gate=gate)
 
 
 # ---- pooling / layout -----------------------------------------------------
@@ -339,7 +364,11 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input features {x.shape[-1]} != weight in-dim {w.shape[1]}")
-    out = x.data @ w.data.T
+    # numpy's matmul can sum a negatively strided input (a flip view) in
+    # another order than a contiguous copy of it; the product alone takes such
+    # a copy, so a view and a copy of the same values give the same output
+    xd = x.data if min(x.data.strides, default=0) >= 0 else np.ascontiguousarray(x.data)
+    out = xd @ w.data.T
     if bias is not None:
         out = out + bias.data
     xs, ws, bs = x.slot, w.slot, bias.slot if bias is not None else None

@@ -361,8 +361,9 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
 def cross_scan(fmap: Tensor) -> list[Tensor]:
     """Flatten [N, D, H, W] into four traversal orders, each [N, H*W, D].
 
-    Orders: row-major, column-major, and their reverses, so a 1D scan
-    sees every spatial position from four directions.
+    Orders: row-major, column-major, and their reverses (views of the
+    first two), so a 1D scan sees every spatial position from four
+    directions.
     """
     n, d, h, w = fmap.shape
     seq = fmap.reshape(n, d, h * w).transpose(0, 2, 1)

@@ -394,10 +394,10 @@ def minimum(a: Tensor, b) -> Tensor:
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
-    """Reverse ``x`` along ``axis``. Keeps: ``x``'s slot."""
+    """Reverse ``x`` along ``axis``: the output is a view of ``x``'s values,
+    so a consumer that keeps it holds no second copy. Keeps: ``x``'s slot."""
     slot = x.slot
-    return make_op(np.ascontiguousarray(np.flip(x.data, axis=axis)),
-                   lambda g: accumulate(slot, np.flip(g, axis=axis)), x)
+    return make_op(np.flip(x.data, axis=axis), lambda g: accumulate(slot, np.flip(g, axis=axis)), x)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

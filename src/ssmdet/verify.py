@@ -56,10 +56,10 @@ def _check_batch_norm(seed, training=True, silu=False, **kw):
         [x, gain, shift], **kw)
 
 
-def _check_layer_norm(seed, **kw):
+def _check_layer_norm(seed, gate=False, **kw):
     rng = np.random.default_rng(seed)
-    x, gain, shift = _t(rng, 2, 6, 4, 4), _t(rng, 6), _t(rng, 6)
-    return grad_check(lambda *a: ops.layer_norm(a[0], a[1], a[2]), [x, gain, shift], **kw)
+    args = [_t(rng, 2, 6, 4, 4), _t(rng, 6), _t(rng, 6)] + ([_t(rng, 2, 6, 4, 4)] if gate else [])
+    return grad_check(lambda *a: ops.layer_norm(*a), args, **kw)
 
 
 def _check_activations(seed, **kw):
@@ -154,6 +154,7 @@ GRAD_CHECKS = {
     "batch_norm_silu_eval": lambda seed, **kw: _check_batch_norm(seed, training=False,
                                                                  silu=True, **kw),
     "layer_norm": _check_layer_norm,
+    "layer_norm_gate": lambda seed, **kw: _check_layer_norm(seed, gate=True, **kw),
     "activations": _check_activations,
     "pool_upsample": _check_pool_upsample,
     "shuffle_split": _check_shuffle_split,

@@ -39,6 +39,10 @@ def test_directory_for_input_file_exits_1(tmp_path, capsys, command):
     assert len(lines) == 1 and lines[0].startswith(f"{command} error: ") and "directory" in lines[0]
 
 
+# options named in a case's id, beside the subcommand and the value
+_OPTIONS_IN_ID = ("--channels", "--states", "--count", "--image-size", "--seed")
+
+
 @pytest.mark.parametrize("argv", [
     ["param-count", "--input-size", "0"],
     ["param-count", "--input-size", "16"],
@@ -53,9 +57,17 @@ def test_directory_for_input_file_exits_1(tmp_path, capsys, command):
     ["scan-bench", "--lengths", "16", "--block-lens", "8", "--states", "-1"],
     ["grad-check", "--block", "conv1d", "--seeds", "0"],
     ["grad-check", "--block", "conv1d", "--seeds", "-1"],
-], ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-2] in ('--channels', '--states') else ''}{argv[-1]}")
-def test_bad_size_exits_1_with_one_error_line(capsys, argv):
-    assert main(argv) == 1
+    ["gen-synthetic", "--out", "OUT", "--count", "0"],
+    ["gen-synthetic", "--out", "OUT", "--count", "-1"],
+    ["gen-synthetic", "--out", "OUT", "--image-size", "3"],
+    ["gen-synthetic", "--out", "OUT", "--image-size", "0"],
+    ["gen-synthetic", "--out", "OUT", "--image-size", "-8"],
+    ["gen-synthetic", "--out", "OUT", "--seed", "-1"],
+    ["scan-bench", "--lengths", "16", "--block-lens", "8", "--seed", "-1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-2] in _OPTIONS_IN_ID else ''}{argv[-1]}")
+def test_bad_size_exits_1_with_one_error_line(capsys, tmp_path, argv):
+    out_dir = tmp_path / "out"
+    assert main([str(out_dir) if a == "OUT" else a for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     size = int(argv[-1])
@@ -65,7 +77,17 @@ def test_bad_size_exits_1_with_one_error_line(capsys, argv):
         want = f"{argv[-2][2:]} {size} must be >= 1"
     if argv[0] == "grad-check":
         want = f"seeds {size} must be >= 1"
+    minimum = {"--count": 1, "--image-size": 4, "--seed": 0}.get(argv[-2])
+    if minimum is not None:
+        want = f"{argv[-2][2:]} {size} must be >= {minimum}"
     assert captured.err.splitlines() == [f"{argv[0]} error: {want}"]
+    assert not out_dir.exists()
+
+
+def test_gen_synthetic_accepts_the_smallest_values(tmp_path, capsys):
+    assert main(["gen-synthetic", "--out", str(tmp_path), "--count", "1",
+                 "--image-size", "4", "--seed", "0"]) == 0
+    assert capsys.readouterr().out.startswith("gen-synthetic images=1 ")
 
 
 def test_param_count_summary_line(capsys):

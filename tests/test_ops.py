@@ -290,6 +290,37 @@ class TestFusedNorms:
             for a, b in zip(fused[3:], chain[3:]):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gated_layer_norm_matches_norm_times_silu_to_the_bit(self, dtype):
+        # the gate is part of layer norm's one op: its values and the
+        # gradients of x, gain, shift and gate equal those of the two-op chain
+        runs = []
+        for gated in (True, False):
+            rng = np.random.default_rng(14)
+            x, gain, shift, gate = (
+                Tensor(rng.standard_normal(shape) * 3.0, dtype=dtype, requires_grad=True)
+                for shape in ((2, 6, 5, 4), (6,), (6,), (2, 6, 5, 4)))
+            probe = Tensor(rng.standard_normal((2, 6, 5, 4)), dtype=dtype)
+            with Tape() as tape:
+                if gated:
+                    y = ops.layer_norm(x, gain, shift, gate)
+                else:
+                    y = ops.layer_norm(x, gain, shift) * ops.silu(gate)
+                loss = (y * probe).sum()
+            assert len(tape) == (3 if gated else 5)
+            tape.backward(loss)
+            runs.append([y.data, x.grad, gain.grad, shift.grad, gate.grad])
+        for got, want in zip(*runs):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype"])
+    def test_bad_gate_rejected(self, bad):
+        x = Tensor(np.ones((2, 3, 4, 4)))
+        gate = Tensor(np.ones((2, 3, 4, 5) if bad == "shape" else (2, 3, 4, 4)),
+                      dtype=np.float32 if bad == "dtype" else np.float64)
+        with pytest.raises(ShapeError):
+            ops.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), gate)
+
     @pytest.mark.parametrize("bad", ["rank", "length", "dtype"])
     @pytest.mark.parametrize("norm", ["batch_norm", "layer_norm"])
     def test_bad_arguments_rejected(self, norm, bad):
@@ -337,6 +368,22 @@ class TestActivations:
         s = 0.5 * (1.0 + np.tanh(0.5 * x))
         want = g * (s + x * s * (1.0 - s))
         assert t.grad.dtype == dtype and t.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_output_form_derivative_is_sigmoid_of_input(self, dtype):
+        # the rule keeps the output and takes -expm1(-out) = 1 - 1/(1 + e^x)
+        rng = np.random.default_rng(13)
+        x = np.concatenate([[0.0, 1e-30, -1e-30, 30.0, -30.0, 1000.0, -1000.0],
+                            rng.standard_normal(1000)]).astype(dtype)
+        with Tape() as tape:
+            t = Tensor(x, requires_grad=True)
+            loss = ops.softplus(t).sum()
+        tape.backward(loss)
+        x64 = x.astype(np.float64)
+        e = np.exp(-np.abs(x64))
+        want = np.where(x64 >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert t.grad.dtype == dtype
+        np.testing.assert_allclose(t.grad, want, rtol=2 * np.finfo(dtype).eps, atol=0)
 
     def test_softplus_approaches_relu(self):
         x = np.array([-20.0, 20.0])

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from ssmdet import ops
 from ssmdet.tensor import (
     ShapeError,
     Tape,
@@ -94,10 +95,12 @@ class TestBackward:
         (lambda y: y + 1.0, np.full((4, 5), 2.0)),
         (lambda y: y.reshape(-1) + 1.0, np.full((4, 5), 2.0)),
         (lambda y: y[1:], np.repeat([[0.0], [2.0], [2.0], [2.0]], 5, axis=1)),
-    ], ids=["add", "reshape", "getitem"])
+        (ops.softplus, np.full((4, 5), -np.expm1(-(2.0 + np.log1p(np.exp(-2.0)))) * 2.0)),
+    ], ids=["add", "reshape", "getitem", "softplus"])
     def test_output_no_backward_reads_is_freed(self, consume, want):
         # the tape and these rules hold y's gradient slot, not y's values, so
-        # y's array goes as soon as the forward drops y
+        # y's array goes as soon as the forward drops y (softplus keeps its
+        # output, from which its derivative is re-derived)
         x = Tensor(np.ones((4, 5)), requires_grad=True)
         with Tape() as tape:
             y = x * 2.0
@@ -243,6 +246,17 @@ class TestArithmetic:
 
 
 class TestStructure:
+    def test_flip_output_is_a_view_of_its_input(self):
+        # the reversed cross-scan directions hold views of their sequences
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        with Tape() as tape:
+            y = flip(x, 1)
+            loss = (y * Tensor(np.arange(24.0).reshape(2, 3, 4))).sum()
+        assert np.shares_memory(y.data, x.data)
+        assert np.array_equal(y.data, np.flip(x.data, 1))
+        tape.backward(loss)
+        assert np.array_equal(x.grad, np.flip(np.arange(24.0).reshape(2, 3, 4), 1))
+
     def test_reshape_transpose_flip_roundtrip(self):
         x = np.arange(24.0).reshape(2, 3, 4)
         t = Tensor(x)
