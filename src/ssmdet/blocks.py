@@ -208,7 +208,8 @@ class ConvBnAct(Conv2dLayer):
     """Conv (no bias) -> batch norm -> SiLU, the detector's standard unit.
 
     Keeps: the norm's ``xhat``; the norm and SiLU are one taped op, whose
-    backward re-derives the sigmoid (:func:`ssmdet.ops.batch_norm`).
+    backward re-derives the sigmoid (:func:`ssmdet.ops.batch_norm`). A conv
+    that reads the unit's output keeps the norm's recipe for it, not a copy.
     """
 
     def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1):
@@ -308,7 +309,7 @@ class EcaConvBlock(Module):
     """EcaConv wrapped with the BN + SiLU convention used in the network.
 
     Keeps: the norm's ``xhat``, with the SiLU inside the norm's op, as in
-    :class:`ConvBnAct`.
+    :class:`ConvBnAct`; a conv that reads the output rebuilds it from that.
     """
 
     def __init__(self, rng, c_in, c_out, kernel=3, stride=1):

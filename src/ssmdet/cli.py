@@ -149,6 +149,7 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    _require_at_least(("threads", args.threads, 1))
     cfg = _load_run_config(args)
     model = Detector.from_checkpoint(args.checkpoint)
     paths = [Path(p) for p in args.images]

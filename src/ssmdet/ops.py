@@ -12,7 +12,9 @@ Batch and layer norm are one taped op each, with a closed-form backward
 that keeps only the normalized input. Batch norm can end in a SiLU inside
 that op, and layer norm in a SiLU gate (``norm(x) * silu(gate)``, which
 also keeps the gate): their backwards re-derive the sigmoid from the
-normalized input or the gate instead of holding it.
+normalized input or the gate instead of holding it. Under a tape a norm's
+output can be rebuilt from what its op keeps, and a conv that reads it
+keeps that recipe instead of the array.
 
 Each rule's "keeps" note names what it holds for backward besides its
 inputs' gradient slots (see :mod:`ssmdet.tensor`).
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, accumulate, concat, elementwise, make_op
+from .tensor import ShapeError, Tensor, accumulate, concat, elementwise, kept_values, make_op
 
 __all__ = [
     "batch_norm",
@@ -88,7 +90,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int | tuple[int, int] = 0, groups: int = 1) -> Tensor:
     """2D cross-correlation, NCHW in, [C_out, C_in/groups, kh, kw] kernel, int or (h, w) padding.
 
-    Keeps: ``x``'s values if ``w`` needs a gradient, ``w``'s if ``x`` does.
+    Keeps: ``x``'s values if ``w`` needs a gradient, as
+    :func:`~ssmdet.tensor.kept_values` gives them (a norm's output as the
+    norm's recipe for it, not a second array); ``w``'s if ``x`` does.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4D [batch, channel, height, width], got {x.shape}")
@@ -147,19 +151,20 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         out += bias.data.reshape(1, c_out, 1, 1)
     out = out.astype(x.data.dtype)
     xs, ws, bs = x.slot, w.slot, bias.slot if bias is not None else None
-    xv = x.data if ws.requires_grad else None
+    xv = kept_values(x) if ws.requires_grad else None
     wv = w.data if xs.requires_grad else None
+    dtype = x.data.dtype
 
     def rule(g):
         if bs is not None:
             accumulate(bs, g.sum(axis=(0, 2, 3)))
         g = g.transpose(1, 2, 3, 0).reshape(groups, og, ho * wo * n)
         if xv is not None:
-            g64, xp = g.astype(np.float64), padded(xv)
+            g64, xp = g.astype(np.float64), padded(xv())
             gw = np.empty((groups, og, c_g, kh * kw))
             for k, (ki, kj) in enumerate(taps):
                 gw[..., k] = g64 @ tap_input(xp, ki, kj).transpose(0, 2, 1)
-            accumulate(ws, gw.reshape(c_out, c_g, kh, kw).astype(xv.dtype))
+            accumulate(ws, gw.reshape(c_out, c_g, kh, kw).astype(dtype))
         if wv is not None:
             # every tap's w_k^T @ g in one matmul, each added into its window, in
             # the gradient's dtype (in float64 these passes cost the most); with
@@ -221,6 +226,8 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
     re-derived out of ``xhat``; with a gate, the gate gets ``g * h`` times
     that derivative at the gate, and ``g`` is multiplied by ``silu(gate)``.
     Keeps: ``xhat``, ``rstd``, the gain, the shift and the gate's values.
+    A recorded output's ``rebuild`` recomputes it from these with the
+    forward's own code, so a conv that reads it keeps no copy of it.
     """
     xhat = xc * rstd
     gain4, shift4 = gain.data.reshape(1, -1, 1, 1), shift.data.reshape(1, -1, 1, 1)
@@ -244,12 +251,18 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
                     - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
             accumulate(xs, gh * rstd)
 
-    h = xhat * gain4 + shift4
-    if silu:
-        h = h * _sigmoid_stable(h)
-    elif gate_v is not None:
-        h = h * (gate_v * _sigmoid_stable(gate_v))
-    return make_op(h, rule, x, gain, shift, gate)
+    def output():
+        h = xhat * gain4 + shift4
+        if silu:
+            return h * _sigmoid_stable(h)
+        if gate_v is not None:
+            return h * (gate_v * _sigmoid_stable(gate_v))
+        return h
+
+    out = make_op(output(), rule, x, gain, shift, gate)
+    if out.requires_grad:   # recorded: a consumer may keep the recipe instead of the array
+        out.rebuild = output
+    return out
 
 
 def batch_norm(x: Tensor, gain: Tensor, shift: Tensor, running_mean: np.ndarray,

@@ -8,8 +8,12 @@ operation appends one ``(output slot, backward_rule)`` node to the active
 :class:`Tape`. A rule holds its inputs' slots and only the arrays its
 backward reads, each op naming them in a "keeps" note; so an op output
 that no backward reads is freed as soon as the forward drops its tensor,
-not when backward runs. Because the recording order is an execution
-order, replaying the rules in reverse is a valid reverse-topological walk:
+not when backward runs. An op whose rule keeps enough to recompute its
+output can leave a recipe for it on the output (``Tensor.rebuild``); a
+consumer that reads the output in backward keeps what :func:`kept_values`
+gives, that recipe where there is one, so the output's array is not held
+a second time. Because the recording order is an execution order,
+replaying the rules in reverse is a valid reverse-topological walk:
 each node fires exactly once, and gradients of fanned-out tensors
 accumulate additively. Backward consumes the tape: each node is dropped,
 with its output's gradient, as it fires.
@@ -40,6 +44,7 @@ __all__ = [
     "elementwise",
     "exp",
     "flip",
+    "kept_values",
     "make_op",
     "maximum",
     "minimum",
@@ -155,6 +160,16 @@ def make_op(out_data: np.ndarray, rule: Callable[[np.ndarray], None], *inputs) -
     return out
 
 
+def kept_values(t: "Tensor") -> Callable[[], np.ndarray]:
+    """What a rule keeps to read ``t``'s values in backward: a function that
+    returns them. It is ``t.rebuild`` where the op that made ``t`` left one, so
+    ``t``'s array goes when the forward drops ``t``; otherwise it holds ``t.data``."""
+    if t.rebuild is not None:
+        return t.rebuild
+    data = t.data
+    return lambda: data
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to ``shape`` after forward broadcasting."""
     if g.shape == shape:
@@ -246,7 +261,7 @@ def _zeros_like_later(a: np.ndarray) -> Callable[[], np.ndarray]:
 class Tensor:
     """Dense multi-dimensional array with a gradient slot."""
 
-    __slots__ = ("data", "slot")
+    __slots__ = ("data", "slot", "rebuild")
     __array_ufunc__ = None     # ``array - tensor`` calls __rsub__, not numpy's object loop
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
@@ -257,6 +272,9 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.slot = GradSlot(requires_grad)
+        # set only on a recorded op output: a function that recomputes ``data``
+        # bit for bit from arrays the op's rule keeps anyway
+        self.rebuild: Callable[[], np.ndarray] | None = None
 
     @property
     def grad(self) -> np.ndarray | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .blocks import ConvBnAct, EcaConv, EcaConvBlock, EcaCsp, Ffn, SimVss, Vss
+from .blocks import ConvBnAct, EcaConv, EcaConvBlock, EcaCsp, Ffn, SimVss, Stem, Vss
 from .gradcheck import GradCheckReport, grad_check
 from .model import Head
 from .ssm import ssm_scan
@@ -162,6 +162,12 @@ GRAD_CHECKS = {
     "scan": _check_scan,
     "conv_bn_act": _check_block(lambda rng: ConvBnAct(rng, 4, 6, 3, stride=2), (2, 4, 6, 6),
                                 ["weight", "norm.gain", "norm.shift"]),
+    # Stem is two chained ConvBnAct: the second conv's weight gradient reads
+    # the first unit's output rebuilt from its norm
+    "conv_bn_act_chain": _check_block(
+        lambda rng: Stem(rng, 3, 4, 6), (2, 3, 12, 12),
+        ["conv1.weight", "conv2.weight", "conv1.norm.gain", "conv2.norm.gain",
+         "conv1.norm.shift", "conv2.norm.shift"]),
     "eca_conv": _check_block(lambda rng: EcaConv(rng, 4, 8), (1, 4, 5, 5),
                              ["weight", "attn_weight", "bias"]),
     "eca_conv_block": _check_block(lambda rng: EcaConvBlock(rng, 4, 6, stride=2), (2, 4, 6, 6),

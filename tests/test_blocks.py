@@ -333,11 +333,13 @@ class TestRetainedMemory:
             tracemalloc.stop()
         return held / y.data.nbytes
 
-    # measured 2.0x (the norm's xhat and the output the next conv reads),
-    # 2.5x (plus the attended half), 26.6x and 35.9x (softplus shares the
-    # delta the scan keeps, the reversed scan directions are views, the gated
-    # norm keeps xhat and the gate); the 3.5x, 4.0x and 40x bounds date from
-    # larger measurements (3.0x, 3.5x, 34.6x)
+    # measured 2.0x (the norm's xhat and the output the next conv reads, now
+    # rebuilt from xhat), 2.5x (plus the attended half), 24.6x and 33.9x
+    # (softplus shares the delta the scan keeps, the reversed scan directions
+    # are views, the gated norm keeps xhat and the gate, and the convs after
+    # the norms keep no copy of their outputs); the 3.5x, 4.0x and 40x bounds
+    # date from larger measurements (3.0x, 3.5x, 34.6x), the 29.5x and 39.5x
+    # ones from 26.6x and 35.9x
     @pytest.mark.parametrize("make,bound", [
         (lambda rng: ConvBnAct(rng, 32, 32, 3), 3.5),
         (lambda rng: EcaConvBlock(rng, 32, 32, 3), 4.0),
@@ -359,3 +361,22 @@ class TestRetainedMemory:
     def test_recomputed_norm_act_holds_its_conv_output(self, make, bound):
         ratio = self.held_per_output(make(np.random.default_rng(1)), (8, 32, 20, 20))
         assert ratio <= bound, ratio
+
+    # a conv over a norm's output keeps the norm's recipe, not the output:
+    # measured 3.02x for the chain (4.02x when the second conv kept its input)
+    # and 6.62x for EcaCsp (8.62x)
+    @pytest.mark.parametrize("make,bound", [
+        (lambda rng: _chain(ConvBnAct(rng, 32, 32, 3), ConvBnAct(rng, 32, 32, 3)), 3.2),
+        (lambda rng: EcaCsp(rng, 32, 32), 6.95),
+    ], ids=["conv_bn_act_chain", "eca_csp"])
+    def test_conv_rebuilds_its_norm_input(self, make, bound):
+        ratio = self.held_per_output(make(np.random.default_rng(1)), (8, 32, 20, 20))
+        assert ratio <= bound, ratio
+
+
+def _chain(*units):
+    def forward(x):
+        for unit in units:
+            x = unit(x)
+        return x
+    return forward

@@ -40,7 +40,7 @@ def test_directory_for_input_file_exits_1(tmp_path, capsys, command):
 
 
 # options named in a case's id, beside the subcommand and the value
-_OPTIONS_IN_ID = ("--channels", "--states", "--count", "--image-size", "--seed")
+_OPTIONS_IN_ID = ("--channels", "--states", "--count", "--image-size", "--seed", "--threads")
 
 
 @pytest.mark.parametrize("argv", [
@@ -64,6 +64,9 @@ _OPTIONS_IN_ID = ("--channels", "--states", "--count", "--image-size", "--seed")
     ["gen-synthetic", "--out", "OUT", "--image-size", "-8"],
     ["gen-synthetic", "--out", "OUT", "--seed", "-1"],
     ["scan-bench", "--lengths", "16", "--block-lens", "8", "--seed", "-1"],
+    # rejected before the (missing) checkpoint is read
+    ["infer", "--checkpoint", "OUT", "--images", "OUT", "--out", "OUT", "--threads", "0"],
+    ["infer", "--checkpoint", "OUT", "--images", "OUT", "--out", "OUT", "--threads", "-3"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-2] in _OPTIONS_IN_ID else ''}{argv[-1]}")
 def test_bad_size_exits_1_with_one_error_line(capsys, tmp_path, argv):
     out_dir = tmp_path / "out"
@@ -77,7 +80,7 @@ def test_bad_size_exits_1_with_one_error_line(capsys, tmp_path, argv):
         want = f"{argv[-2][2:]} {size} must be >= 1"
     if argv[0] == "grad-check":
         want = f"seeds {size} must be >= 1"
-    minimum = {"--count": 1, "--image-size": 4, "--seed": 0}.get(argv[-2])
+    minimum = {"--count": 1, "--image-size": 4, "--seed": 0, "--threads": 1}.get(argv[-2])
     if minimum is not None:
         want = f"{argv[-2][2:]} {size} must be >= {minimum}"
     assert captured.err.splitlines() == [f"{argv[0]} error: {want}"]

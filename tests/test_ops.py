@@ -1,6 +1,7 @@
 """Operator semantics against direct nested-loop oracles and hand values."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from oracles import batch_norm_primitives, conv1d_loops, conv2d_loops, layer_nor
 from ssmdet import ops
 from ssmdet.blocks import BatchNorm
 from ssmdet.gradcheck import grad_check
-from ssmdet.tensor import ShapeError, Tape, Tensor
+from ssmdet.tensor import ShapeError, Tape, Tensor, inference
 
 
 # (stride, padding, groups, kernel) on a [2, 4, 7, 6] input: dense, grouped,
@@ -338,6 +339,83 @@ class TestFusedNorms:
         with Tape() as tape:
             bn(x)
         assert len(tape) == 1
+
+
+# every producer of ops._normalize: batch norm with and without its SiLU in
+# train and eval mode, layer norm with and without its gate
+NORM_PRODUCERS = ["bn-train", "bn-eval", "bn-silu-train", "bn-silu-eval", "ln", "ln-gate"]
+
+
+def _norm_producer(kind, rng, dtype):
+    """A norm of ``kind`` on fresh gradient-requiring inputs: (run, inputs),
+    where ``run()`` applies it to them."""
+    x, gain, shift, gate = (
+        Tensor(rng.standard_normal(shape) * 2.0, dtype=dtype, requires_grad=True)
+        for shape in ((2, 6, 5, 4), (6,), (6,), (2, 6, 5, 4)))
+    if kind.startswith("bn"):
+        rm, rv = np.zeros(6, dtype), np.ones(6, dtype)
+        return (lambda: ops.batch_norm(x, gain, shift, rm, rv, training=kind.endswith("train"),
+                                       silu="silu" in kind)), [x, gain, shift]
+    if kind == "ln-gate":
+        return (lambda: ops.layer_norm(x, gain, shift, gate)), [x, gain, shift, gate]
+    return (lambda: ops.layer_norm(x, gain, shift)), [x, gain, shift]
+
+
+class TestRebuiltNormOutput:
+    """A recorded norm output carries a recipe that rebuilds it from what the
+    norm's rule keeps, and a conv's weight gradient reads it through that
+    recipe instead of holding the array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", NORM_PRODUCERS)
+    def test_rebuild_is_the_output_to_the_bit(self, kind, dtype):
+        run, _ = _norm_producer(kind, np.random.default_rng(3), dtype)
+        with Tape():
+            y = run()
+        assert y.rebuild is not None
+        rebuilt = y.rebuild()
+        assert rebuilt.dtype == dtype and rebuilt.tobytes() == y.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", NORM_PRODUCERS)
+    def test_conv_over_rebuilt_input_matches_kept_array(self, kind, dtype):
+        # `* 1.0` gives the conv a plain copy of the norm's output to keep
+        runs = []
+        for copy in (False, True):
+            rng = np.random.default_rng(5)
+            run, inputs = _norm_producer(kind, rng, dtype)
+            w = Tensor(rng.standard_normal((4, 6, 3, 3)), dtype=dtype, requires_grad=True)
+            probe = Tensor(rng.standard_normal((2, 4, 3, 2)), dtype=dtype)
+            with Tape() as tape:
+                y = run()
+                out = ops.conv2d(y * 1.0 if copy else y, w, stride=2, padding=1)
+                loss = (out * probe).sum()
+            tape.backward(loss)
+            runs.append([out.data, w.grad] + [t.grad for t in inputs])
+        for got, want in zip(*runs):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", NORM_PRODUCERS)
+    def test_norm_output_freed_when_forward_drops_it(self, kind):
+        rng = np.random.default_rng(6)
+        run, inputs = _norm_producer(kind, rng, np.float32)
+        w = Tensor(rng.standard_normal((4, 6, 1, 1)), dtype=np.float32, requires_grad=True)
+        with Tape() as tape:
+            y = run()
+            freed = weakref.ref(y.data)
+            out = ops.conv2d(y, w)
+            del y
+            assert freed() is None
+            loss = out.sum()
+        tape.backward(loss)
+        assert w.grad is not None and all(t.grad is not None for t in inputs)
+
+    @pytest.mark.parametrize("kind", NORM_PRODUCERS)
+    def test_no_recipe_without_a_tape_or_inside_inference(self, kind):
+        run, _ = _norm_producer(kind, np.random.default_rng(7), np.float32)
+        assert run().rebuild is None
+        with inference():
+            assert run().rebuild is None
 
 
 class TestActivations:
