@@ -1,11 +1,14 @@
 """Neural-network operators on :class:`~ssmdet.tensor.Tensor`.
 
-Every convolution is :func:`conv2d`, a sum over its kernel's taps: each
-tap's weight slice multiplies the shifted input window it reads, one matmul
-per tap for every kind of conv (dense, grouped, depthwise, 1x1, strided, and
-ECA's :func:`conv1d`, a k x 1 kernel over an L x 1 map). Where a group has
-one input channel (forward) or one output channel (input gradient), that
-matmul is an outer product and runs as a multiply, with the same values.
+Every convolution is :func:`conv2d`, for every kind of conv (dense,
+grouped, depthwise, 1x1, strided, and ECA's :func:`conv1d`, a k x 1 kernel
+over an L x 1 map): the [groups, out/groups, in/groups*kh*kw] weight times
+a column matrix whose rows are (input channel, tap) and whose columns are
+(output row, output column, image), one matmul per block of output rows.
+The columns are a read-only strided view of the padded input, copied one
+block at a time (Chellapilla et al. 2006), and the weight gradient
+contracts the same blocks with the output gradient. The input gradient
+adds every tap's ``w_k^T @ g`` into the window that tap reads.
 Tests hold it to direct nested-loop oracles. Convolution is
 cross-correlation (no kernel flip).
 Batch and layer norm are one taped op each, with a closed-form backward
@@ -86,13 +89,21 @@ def softplus(x: Tensor) -> Tensor:
 
 # ---- convolution ----------------------------------------------------------
 
+# Cap on the bytes of one block of conv2d's float64 column matrix (a block
+# holds at least one output row). Unblocked columns are up to 18x the float32
+# input; at desk shapes 512 KiB blocks ran as fast as 1 MiB ones and faster
+# than unblocked columns.
+_COLUMN_BLOCK_BYTES = 1 << 19
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int | tuple[int, int] = 0, groups: int = 1) -> Tensor:
     """2D cross-correlation, NCHW in, [C_out, C_in/groups, kh, kw] kernel, int or (h, w) padding.
 
     Keeps: ``x``'s values if ``w`` needs a gradient, as
     :func:`~ssmdet.tensor.kept_values` gives them (a norm's output as the
-    norm's recipe for it, not a second array); ``w``'s if ``x`` does.
+    norm's recipe for it, not a second array); ``w``'s if ``x`` does. The
+    column matrices are transient: backward rebuilds them from ``x``'s values.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4D [batch, channel, height, width], got {x.shape}")
@@ -101,8 +112,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
     if stride < 1 or ph < 0 or pw < 0:
         raise ShapeError(f"conv2d: stride {stride} must be >= 1 and padding {padding} >= 0")
+    if groups < 1:
+        raise ShapeError(f"conv2d: groups {groups} must be >= 1")
     n, c_in, h, wd = x.shape
     c_out, c_g, kh, kw = w.shape
+    if kh < 1 or kw < 1:
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} has a side of zero length")
     if c_in % groups != 0:
         raise ShapeError(f"conv2d: input channels {c_in} not divisible by groups {groups}")
     if c_g != c_in // groups:
@@ -114,16 +129,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
     if x.data.dtype != w.data.dtype:
         raise ShapeError(f"conv2d: dtype mismatch {x.data.dtype} vs {w.data.dtype}")
+    if bias is not None and (bias.shape != (c_out,) or bias.data.dtype != x.data.dtype):
+        raise ShapeError(f"conv2d: bias {bias.shape} {bias.data.dtype} must be "
+                         f"({c_out},) {x.data.dtype}")
 
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    og = c_out // groups
+    og, k = c_out // groups, c_g * kh * kw
     taps = [(ki, kj) for ki in range(kh) for kj in range(kw)]
-    # [groups, c_g, hp, wp, n]: a tap is one matmul per group over every output
-    # position; the output and input gradient keep this batch-innermost order.
-    # 32-bit inputs accumulate in float64 and round once at the end, within
-    # 1e-6 of the nested-loop oracle. The padded float64 copy is not kept for
-    # backward: the weight gradient rebuilds it from x's values.
+    # [groups, c_g, hp, wp, n]: the batch is innermost, so an output row's
+    # columns are runs of wo*n values; the output and input gradient keep this
+    # order. 32-bit inputs accumulate in float64 and round once at the end,
+    # within 1e-6 of the nested-loop oracle. Neither the padded float64 copy
+    # nor a column block is kept for backward: the weight gradient rebuilds
+    # them from x's values.
     padded_shape = (groups, c_g, hp, wp, n)
+    rows = max(1, _COLUMN_BLOCK_BYTES // max(1, groups * k * wo * n * 8))
 
     def padded(xd):
         xp = np.zeros(padded_shape)
@@ -135,17 +155,23 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         """The [groups, c, ho, wo, n] part of ``a`` that tap (ki, kj) reads."""
         return a[:, :, ki:ki + stride * (ho - 1) + 1:stride, kj:kj + stride * (wo - 1) + 1:stride]
 
-    def tap_input(xp, ki, kj):
-        return window(xp, ki, kj).reshape(groups, c_g, ho * wo * n)
+    def column_blocks(xp):
+        """(positions, view) per block of at most ``rows`` output rows: the
+        view's reshape to [groups, c_g*kh*kw, positions] is the block's column
+        matrix, a copy unless the view is contiguous (1x1 kernel, stride 1)."""
+        sg, sc, sh, sw, sn = xp.strides
+        # the view np.lib.stride_tricks.as_strided makes, at an eighth of its call cost
+        view = np.ndarray((groups, c_g, kh, kw, ho, wo, n), xp.dtype, xp, 0,
+                          (sg, sc, sh, sw, stride * sh, stride * sw, sn))
+        view.flags.writeable = False
+        for r in range(0, ho, rows):
+            yield slice(r * wo * n, min(r + rows, ho) * wo * n), view[:, :, :, :, r:r + rows]
 
-    xp = padded(x.data)
-    wmat = w.data.astype(np.float64).reshape(groups, og, c_g, kh * kw)
-    out = np.zeros((groups, og, ho, wo, n))
-    for k, (ki, kj) in enumerate(taps):
-        if c_g == 1:    # with one input channel the tap's matmul is an outer product
-            out += wmat[..., k, None, None] * window(xp, ki, kj)
-        else:
-            out += (wmat[..., k] @ tap_input(xp, ki, kj)).reshape(out.shape)
+    wmat = w.data.astype(np.float64).reshape(groups, og, k)
+    out = np.empty((groups, og, ho * wo * n))
+    for at, cols in column_blocks(padded(x.data)):
+        np.matmul(wmat, cols.reshape(groups, k, at.stop - at.start), out=out[..., at])
+    del cols    # a view of the padded copy, which can go now
     out = out.reshape(c_out, ho, wo, n).transpose(3, 0, 1, 2)
     if bias is not None:
         out += bias.data.reshape(1, c_out, 1, 1)
@@ -160,10 +186,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             accumulate(bs, g.sum(axis=(0, 2, 3)))
         g = g.transpose(1, 2, 3, 0).reshape(groups, og, ho * wo * n)
         if xv is not None:
-            g64, xp = g.astype(np.float64), padded(xv())
-            gw = np.empty((groups, og, c_g, kh * kw))
-            for k, (ki, kj) in enumerate(taps):
-                gw[..., k] = g64 @ tap_input(xp, ki, kj).transpose(0, 2, 1)
+            gw = sum(g[..., at].astype(np.float64)
+                     @ cols.reshape(groups, k, at.stop - at.start).transpose(0, 2, 1)
+                     for at, cols in column_blocks(padded(xv())))
             accumulate(ws, gw.reshape(c_out, c_g, kh, kw).astype(dtype))
         if wv is not None:
             # every tap's w_k^T @ g in one matmul, each added into its window, in
@@ -172,10 +197,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             if og == 1:
                 wk = wv.reshape(groups, c_g, kh * kw, 1, 1, 1)
                 g5 = g.reshape(groups, 1, ho, wo, n)
-                gtaps = (wk[:, :, k] * g5 for k in range(kh * kw))
+                gtaps = (wk[:, :, t] * g5 for t in range(kh * kw))
             else:
                 gtaps = np.moveaxis(
-                    (wv.reshape(groups, og, c_g * kh * kw).transpose(0, 2, 1) @ g)
+                    (wv.reshape(groups, og, k).transpose(0, 2, 1) @ g)
                     .reshape(groups, c_g, kh * kw, ho, wo, n), 2, 0)
             gxp = np.zeros(padded_shape, dtype=g.dtype)
             for (ki, kj), gtap in zip(taps, gtaps):

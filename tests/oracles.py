@@ -40,6 +40,32 @@ def conv2d_loops(x, w, bias=None, stride=1, padding=0, groups=1):
     return out
 
 
+def conv2d_grad_loops(x, w, gout, stride=1, padding=0, groups=1):
+    """Input and weight gradients of ``sum(conv2d_loops(x, w) * gout)``, by the same loops."""
+    n, c_in, h, wd = x.shape
+    c_out, c_g, kh, kw = w.shape
+    ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+    _, _, ho, wo = gout.shape
+    og = c_out // groups
+    gx = np.zeros(x.shape, dtype=np.float64)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    for b in range(n):
+        for o in range(c_out):
+            grp = o // og
+            for i in range(ho):
+                for j in range(wo):
+                    g = float(gout[b, o, i, j])
+                    for ci in range(c_g):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                yy = i * stride + ki - ph
+                                xx = j * stride + kj - pw
+                                if 0 <= yy < h and 0 <= xx < wd:
+                                    gx[b, grp * c_g + ci, yy, xx] += g * float(w[o, ci, ki, kj])
+                                    gw[o, ci, ki, kj] += g * float(x[b, grp * c_g + ci, yy, xx])
+    return gx, gw
+
+
 def conv1d_loops(x, w):
     n, _, length = x.shape
     k = w.shape[2]
