@@ -261,6 +261,8 @@ class EcaConv(Conv2dLayer):
     Pipeline: conv -> split off the first c_hat channels -> global average
     pool -> 1D conv across the channel axis -> sigmoid -> scale the
     attended half -> concat with the bypass half -> channel shuffle.
+    Everything after the conv is one taped op, :func:`ssmdet.ops.eca_attention`,
+    which keeps the attended channels and the gates, not the conv output.
     c_hat = floor(sigma * c_out), clamped to >= 1; sigma and the 1D kernel
     default to the fixed 0.5 / 3 configuration, or derive from
     strip_ratio/adaptive_kernel when ``adaptive`` is set.
@@ -288,17 +290,8 @@ class EcaConv(Conv2dLayer):
             rng.uniform(-1.0, 1.0, (1, 1, attn_kernel)) / math.sqrt(attn_kernel))
 
     def forward(self, x):
-        y = super().forward(x)
-        if self.c_hat == self.c_out:
-            att, byp = y, None
-        else:
-            att, byp = ops.split_channels(y, [self.c_hat, self.c_out - self.c_hat])
-        n = att.shape[0]
-        pooled = ops.global_avg_pool(att).reshape(n, 1, self.c_hat)
-        gates = ops.sigmoid(ops.conv1d(pooled, self.attn_weight)).reshape(n, self.c_hat, 1, 1)
-        att = att * gates
-        merged = att if byp is None else ops.concat_channels([att, byp])
-        return ops.channel_shuffle(merged, self.shuffle_groups)
+        return ops.eca_attention(super().forward(x), self.attn_weight, self.c_hat,
+                                 self.shuffle_groups)
 
     def flops(self, hw):
         conv, out = super().flops(hw)
@@ -326,7 +319,8 @@ class EcaCsp(Module):
 
     Main path adjusts width with a 1x1 conv then runs n units of two 3x3
     stride-1 EcaConv layers; the side path is a depthwise-separable conv
-    of the input; the merge is concat -> channel shuffle -> 1x1 conv.
+    of the input; the merge is concat -> channel shuffle (one taped op,
+    :func:`ssmdet.ops.shuffle_concat`) -> 1x1 conv.
     """
 
     def __init__(self, rng, c_in, c_out, n=1):
@@ -345,8 +339,7 @@ class EcaCsp(Module):
         for unit in self.units:
             m = unit(m)
         s = self.pw(self.dw(x))
-        y = ops.channel_shuffle(ops.concat_channels([m, s]), 2)
-        return self.post(y)
+        return self.post(ops.shuffle_concat([m, s], 2))
 
 
 # ---- fusion blocks -----------------------------------------------------------

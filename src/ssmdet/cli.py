@@ -141,10 +141,9 @@ def _cmd_train_toy(args) -> int:
     except TrainingDiverged as err:
         print(f"train-toy diverged step={err.step}")
         return 1
-    first = records[0]["loss"] if records else float("nan")
-    last = records[-1]["loss"] if records else float("nan")
-    print(f"train-toy epochs={len(records)} first_loss={first:.4g} last_loss={last:.4g} "
-          f"out={cfg.out_dir}")
+    losses = (f" first_loss={records[0]['loss']:.4g} last_loss={records[-1]['loss']:.4g}"
+              if records else "")
+    print(f"train-toy epochs={len(records)}{losses} out={cfg.out_dir}")
     return 0
 
 

@@ -47,6 +47,8 @@ class RunConfig:
             raise ConfigError(f"num_classes {self.num_classes} must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum {self.momentum} must be in [0, 1)")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size {self.batch_size} must be >= 1")
         if self.epochs < 0:

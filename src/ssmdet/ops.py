@@ -11,6 +11,12 @@ contracts the same blocks with the output gradient. The input gradient
 adds every tap's ``w_k^T @ g`` into the window that tap reads.
 Tests hold it to direct nested-loop oracles. Convolution is
 cross-correlation (no kernel flip).
+ECA's attention tail (:func:`eca_attention`) and a concat followed by a
+channel shuffle (:func:`shuffle_concat`) are one taped op each: each part
+is written straight into its shuffled channels, and the attention's
+pooling, k-tap channel conv and sigmoid run on [batch, channels] arrays
+with the arithmetic of the ops they replace, whose chain the tests keep
+as the oracle.
 Batch and layer norm are one taped op each, with a closed-form backward
 that keeps only the normalized input. Batch norm can end in a SiLU inside
 that op, and layer norm in a SiLU gate (``norm(x) * silu(gate)``, which
@@ -27,7 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, accumulate, concat, elementwise, kept_values, make_op
+from .tensor import (ShapeError, Tensor, _zeros_like_later, accumulate, concat, elementwise,
+                     kept_values, make_op)
 
 __all__ = [
     "batch_norm",
@@ -35,9 +42,11 @@ __all__ = [
     "concat_channels",
     "conv1d",
     "conv2d",
+    "eca_attention",
     "global_avg_pool",
     "layer_norm",
     "linear",
+    "shuffle_concat",
     "sigmoid",
     "silu",
     "softplus",
@@ -344,24 +353,50 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return x.mean(axis=(2, 3), keepdims=True)
 
 
-def channel_shuffle(x: Tensor, groups: int) -> Tensor:
-    """Fixed group-transpose permutation of channels.
+def _shuffled_positions(c: int, groups: int) -> np.ndarray:
+    """Where the channel shuffle puts each of ``c`` channels: channel ``m`` of
+    group ``m // (c/groups)`` goes to ``(m % (c/groups)) * groups + m // (c/groups)``."""
+    if groups < 1 or c % groups:
+        raise ShapeError(f"channel shuffle: channels {c} not divisible by groups {groups}")
+    return np.arange(c).reshape(c // groups, groups).T.ravel()
 
-    Channels reshape to (groups, C/groups), transpose, and flatten, so
-    group members interleave. The permutation is a bijection; applying
-    channel_shuffle with C/groups groups inverts it. Keeps: the inverse
-    permutation.
+
+def shuffle_concat(parts, groups: int) -> Tensor:
+    """Concatenate ``parts`` along the channels and shuffle the result, as one op.
+
+    The shuffle is the group transpose: channels reshape to (groups,
+    C/groups), transpose and flatten, so group members interleave; shuffling
+    with C/groups groups inverts it. Each part is written straight into its
+    shuffled channels, and backward gives each part its own channels of the
+    gradient. Keeps: the parts' slots and the channel positions.
     """
-    c = x.shape[1]
-    if c % groups != 0:
-        raise ShapeError(f"channel_shuffle: channels {c} not divisible by groups {groups}")
-    perm = np.arange(c).reshape(groups, c // groups).T.ravel()
-    slot, inv = x.slot, np.argsort(perm)
+    parts = list(parts)
+    if not parts:
+        raise ShapeError("shuffle_concat of zero tensors")
+    first = parts[0]
+    for p in parts:
+        if p.ndim < 2 or p.shape[:1] + p.shape[2:] != first.shape[:1] + first.shape[2:] \
+                or p.dtype != first.dtype:
+            raise ShapeError(f"shuffle_concat: part {p.shape} {p.dtype} does not match "
+                             f"{first.shape} {first.dtype} outside the channel axis")
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+    dest = _shuffled_positions(int(offsets[-1]), groups)
+    out = np.empty(first.shape[:1] + (int(offsets[-1]),) + first.shape[2:], first.dtype)
+    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        out[:, dest[lo:hi]] = p.data
+    slots = [p.slot for p in parts]
 
     def rule(g):
-        accumulate(slot, np.ascontiguousarray(g[:, inv]))
+        g = np.take(g, dest, axis=1)    # in the concat's channel order
+        for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+            accumulate(slot, g[:, lo:hi])
 
-    return make_op(np.ascontiguousarray(x.data[:, perm]), rule, x)
+    return make_op(out, rule, *parts)
+
+
+def channel_shuffle(x: Tensor, groups: int) -> Tensor:
+    """Fixed group-transpose permutation of channels: :func:`shuffle_concat` of ``x`` alone."""
+    return shuffle_concat([x], groups)
 
 
 def split_channels(x: Tensor, sizes) -> list[Tensor]:
@@ -393,6 +428,81 @@ def upsample_nearest(x: Tensor) -> Tensor:
         accumulate(slot, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
     return make_op(x.data.repeat(2, axis=2).repeat(2, axis=3), rule, x)
+
+
+# ---- channel attention ----------------------------------------------------
+
+def eca_attention(y: Tensor, attn_weight: Tensor, c_hat: int, groups: int) -> Tensor:
+    """ECA's channel attention on the first ``c_hat`` channels of ``y``, joined
+    with the rest and shuffled, as one op (Wang et al. 2020, ECA-Net).
+
+    Per image, the gates are ``sigmoid(conv1d(mean_hw(y[:, :c_hat]),
+    attn_weight))``: the height-width mean of each attended channel, a
+    zero-padded k-tap conv across the channels as :func:`conv1d` computes it
+    (float64 products summed in tap order, rounded once), and the sigmoid.
+    The attended channels times their gates and the bypass channels
+    ``y[:, c_hat:]`` (none when ``c_hat`` is all of them) are written into
+    their channels of :func:`shuffle_concat`. Backward repeats the rules of
+    that chain of ops in its order, so ``y``'s gradient is the chain's to the
+    bit, laid out like ``y``; the weight's sums its float64 products in
+    another order.
+
+    Keeps: the attended channels (a copy, or ``y``'s array when every
+    channel is attended), the gates, the padded means, the weight's values
+    and ``y``'s layout; never the bypass channels.
+    """
+    if y.ndim != 4:
+        raise ShapeError(f"eca_attention: input must be 4D, got {y.shape}")
+    n, c, h, wd = y.shape
+    if attn_weight.ndim != 3 or attn_weight.shape[:2] != (1, 1) or attn_weight.shape[2] % 2 == 0:
+        raise ShapeError(f"eca_attention: weight {attn_weight.shape} must be [1, 1, k], k odd")
+    if not 1 <= c_hat <= c:
+        raise ShapeError(f"eca_attention: attended channels {c_hat} must be in [1, {c}]")
+    if h * wd == 0:
+        raise ShapeError("eca_attention: zero spatial extent")
+    if attn_weight.dtype != y.dtype:
+        raise ShapeError(f"eca_attention: dtype mismatch {y.dtype} vs {attn_weight.dtype}")
+    dest = _shuffled_positions(c, groups)
+    k, dtype = attn_weight.shape[2], y.data.dtype
+    pad = k // 2
+    att = y.data[:, :c_hat].copy() if c_hat < c else y.data
+    padded = np.zeros((n, c_hat + 2 * pad))
+    # np.mean's bytes at a third of its cost: np.mean divides a float32 sum in
+    # float64 and rounds back, which for one division is the float32 quotient
+    padded[:, pad:pad + c_hat] = att.sum(axis=(2, 3)) / (h * wd)
+    w = attn_weight.data.ravel()
+    taps = w.astype(np.float64)
+    z = taps[0] * padded[:, :c_hat]
+    for t in range(1, k):
+        z += taps[t] * padded[:, t:t + c_hat]
+    gates = _sigmoid_stable(z.astype(dtype)).reshape(n, c_hat, 1, 1)
+    out = np.empty(y.shape, dtype)
+    out[:, dest[:c_hat]] = att * gates
+    out[:, dest[c_hat:]] = y.data[:, c_hat:]
+    ys, ws, zeros = y.slot, attn_weight.slot, _zeros_like_later(y.data)
+
+    def rule(g):
+        g = np.take(g, dest, axis=1)    # in the concat's channel order
+        g_att = g[:, :c_hat]
+        # the product's sum over its broadcast axes, then the sigmoid's rule
+        s = gates.reshape(n, c_hat)
+        gz = (g_att * att).sum(axis=(2, 3)).reshape(n, c_hat) * s * (1.0 - s)
+        if ws.requires_grad:
+            gz64 = gz.astype(np.float64)
+            gw = np.array([(gz64 * padded[:, t:t + c_hat]).sum() for t in range(k)])
+            accumulate(ws, gw.astype(dtype).reshape(1, 1, k))
+        if ys.requires_grad:
+            # the 1-D conv's input gradient tap by tap, then the mean's
+            gpad = np.zeros((n, c_hat + 2 * pad), gz.dtype)
+            for t in range(k):
+                gpad[:, t:t + c_hat] += w[t] * gz
+            gpool = (gpad[:, pad:pad + c_hat] / (h * wd)).reshape(n, c_hat, 1, 1)
+            gy = zeros()
+            gy[:, :c_hat] = g_att * gates + gpool
+            gy[:, c_hat:] = g[:, c_hat:]
+            accumulate(ys, gy)
+
+    return make_op(out, rule, y, attn_weight)
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -87,6 +87,19 @@ def _check_shuffle_split(seed, **kw):
     return grad_check(closure, [x], **kw)
 
 
+def _check_shuffle_concat(seed, **kw):
+    rng = np.random.default_rng(seed)
+    parts = [_t(rng, 2, c, 2, 3) for c in (3, 1, 4)]
+    return grad_check(lambda *a: ops.shuffle_concat(a, 4), parts, **kw)
+
+
+def _check_eca_attention(seed, **kw):
+    rng = np.random.default_rng(seed)
+    y, w = _t(rng, 2, 8, 3, 3), _t(rng, 1, 1, 3)
+    # 3 of 8 channels attended: the parts straddle the shuffle's groups
+    return grad_check(lambda *a: ops.eca_attention(a[0], a[1], 3, 2), [y, w], **kw)
+
+
 def _check_linear(seed, **kw):
     rng = np.random.default_rng(seed)
     x, w, b = _t(rng, 3, 5, 6), _t(rng, 4, 6), _t(rng, 4)
@@ -158,6 +171,8 @@ GRAD_CHECKS = {
     "activations": _check_activations,
     "pool_upsample": _check_pool_upsample,
     "shuffle_split": _check_shuffle_split,
+    "shuffle_concat": _check_shuffle_concat,
+    "eca_attention": _check_eca_attention,
     "linear": _check_linear,
     "scan": _check_scan,
     "conv_bn_act": _check_block(lambda rng: ConvBnAct(rng, 4, 6, 3, stride=2), (2, 4, 6, 6),

@@ -374,3 +374,28 @@ def layer_norm_primitives(x, gain, shift, eps=1e-5):
     var = (xc * xc).mean(axis=1, keepdims=True)
     xhat = xc * (var + eps) ** -0.5
     return xhat * gain.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+
+
+def shuffle_concat_primitives(parts, groups):
+    """Concat along the channels, then the group-transpose shuffle, as a chain
+    of taped Tensor primitives (concat, reshape, transpose, reshape)."""
+    from ssmdet.tensor import concat
+
+    x = concat(parts, axis=1)
+    n, c = x.shape[:2]
+    rest = x.shape[2:]
+    return x.reshape(n, groups, c // groups, *rest).transpose(
+        0, 2, 1, *range(3, x.ndim + 1)).reshape(n, c, *rest)
+
+
+def eca_attention_chain(y, attn_weight, c_hat, groups):
+    """ECA's attention tail as the chain of taped ops it was: split -> mean ->
+    conv1d across the channels -> sigmoid -> scale -> concat -> shuffle."""
+    from ssmdet.ops import conv1d, sigmoid
+
+    n, c = y.shape[:2]
+    att = y if c_hat == c else y[:, :c_hat]
+    pooled = att.mean(axis=(2, 3), keepdims=True).reshape(n, 1, c_hat)
+    gates = sigmoid(conv1d(pooled, attn_weight)).reshape(n, c_hat, 1, 1)
+    att = att * gates
+    return shuffle_concat_primitives([att] if c_hat == c else [att, y[:, c_hat:]], groups)

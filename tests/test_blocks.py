@@ -122,6 +122,14 @@ class TestEcaConv:
         with pytest.raises(ShapeError):
             EcaConv(np.random.default_rng(0), 4, 8, attn_kernel=2)
 
+    def test_taped_block_records_conv_attention_and_norm(self):
+        m = EcaConvBlock(np.random.default_rng(5), 4, 8)
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 4, 6, 6)), dtype=np.float32,
+                   requires_grad=True)
+        with Tape() as tape:
+            m(x)
+        assert len(tape) == 3
+
     def test_stride_two_downsamples(self):
         m = EcaConv(np.random.default_rng(5), 4, 8, stride=2)
         out = m(Tensor(np.zeros((1, 4, 8, 8), dtype=np.float32)))
@@ -152,6 +160,16 @@ class TestEcaCsp:
     def test_odd_output_channels_rejected(self):
         with pytest.raises(ShapeError):
             EcaCsp(np.random.default_rng(0), 8, 7)
+
+    def test_merge_records_one_node(self):
+        m = EcaCsp(np.random.default_rng(9), 8, 8, n=1)
+        x = Tensor(np.random.default_rng(10).standard_normal((2, 8, 4, 4)), dtype=np.float32,
+                   requires_grad=True)
+        with Tape() as tape:
+            m(x)
+        # pre, dw, pw and post record a conv and a norm each, every unit a
+        # conv, its attention and a norm; the shuffled concat is the one left
+        assert len(tape) == 2 * 4 + 3 * len(m.units) + 1
 
 
 class TestVss:

@@ -131,7 +131,9 @@ def test_bad_config_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("config,argv,want", [
     ("num_classes = 0\n", ["param-count"], "num_classes 0 must be >= 1"),
     ("", ["check-shapes", "--seed", "-1"], "seed -1 must be >= 0"),
-], ids=["num-classes-0", "seed-1"])
+    # rejected before the (missing) data directory is read
+    ("momentum = 2\n", ["train-toy", "--data", "missing"], "momentum 2.0 must be in [0, 1)"),
+], ids=["num-classes-0", "seed-1", "momentum-2"])
 def test_bad_config_value_exits_1_with_one_error_line(tmp_path, capsys, config, argv, want):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
@@ -272,6 +274,21 @@ def test_train_toy_rejects_out_of_range_class_ids(tmp_path, capsys, bad_class):
     assert len(err) == 1 and err[0].startswith(f"train-toy error: dataset image {bad_image} has ")
     want = "class id -1," if bad_class == "negative" else "outside [0, 3)"
     assert want in err[0]
+
+
+def test_train_toy_zero_epochs_summary_has_no_losses(tmp_path, capsys):
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-synthetic", "--out", str(data_dir), "--count", "2",
+                 "--image-size", "64", "--seed", "1"]) == 0
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("scale = n\nwidth_override = 0.125\ninput_size = 64\n"
+                   f"epochs = 0\nbatch_size = 1\nout_dir = {run_dir}\n")
+    capsys.readouterr()
+    assert main(["train-toy", "--config", str(cfg), "--data", str(data_dir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"train-toy epochs=0 out={run_dir}"]
+    assert captured.err == ""
+    assert (run_dir / "model.ckpt").exists()
 
 
 def test_infer_multithreaded_matches_single(tmp_path):

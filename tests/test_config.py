@@ -101,3 +101,17 @@ def test_values_below_their_minimum_rejected_naming_the_key(tmp_path, text, key)
     path.write_text(text)
     with pytest.raises(ConfigError, match=f"^{key} -?\\d+ must be >= "):
         load_config(path)
+
+
+@pytest.mark.parametrize("value", ["1", "2", "-0.1", "nan"])
+def test_momentum_outside_unit_interval_rejected(tmp_path, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"momentum = {value}\n")
+    with pytest.raises(ConfigError, match=r"^momentum \S+ must be in \[0, 1\)$"):
+        load_config(path)
+
+
+def test_momentum_zero_accepted(tmp_path):
+    path = tmp_path / "ok.cfg"
+    path.write_text("momentum = 0\n")
+    assert load_config(path).momentum == 0.0

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (batch_norm_primitives, conv1d_loops, conv2d_grad_loops, conv2d_loops,
-                     layer_norm_primitives)
+                     eca_attention_chain, layer_norm_primitives, shuffle_concat_primitives)
 from ssmdet import ops
-from ssmdet.blocks import BatchNorm
+from ssmdet.blocks import BatchNorm, EcaConv
 from ssmdet.gradcheck import grad_check
 from ssmdet.tensor import ShapeError, Tape, Tensor, inference
 
@@ -682,3 +682,121 @@ class TestPoolAndLayout:
         x = Tensor(rng.standard_normal((1, 2, 3, 3)))
         report = grad_check(lambda a: ops.upsample_nearest(a), [x], tolerance=1e-4)
         assert report.passed, str(report)
+
+
+def _taped_grads(fn, inputs, probe_seed):
+    """fn(*inputs)'s values, tape length and the gradients of sum(output * probe)."""
+    with Tape() as tape:
+        out = fn(*inputs)
+        probe = np.random.default_rng(probe_seed).standard_normal(out.shape).astype(out.dtype)
+        loss = (out * Tensor(probe)).sum()
+    nodes = len(tape) - 2     # less the probe's product and sum
+    tape.backward(loss)
+    return out.data, nodes, [t.grad for t in inputs]
+
+
+class TestShuffleConcat:
+    """One op against concat -> reshape -> transpose -> reshape."""
+
+    @pytest.mark.parametrize("groups", [2, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unequal_parts_match_the_chain_to_the_bit(self, dtype, groups):
+        rng = np.random.default_rng(groups)
+        arrays = [rng.standard_normal((2, c, 3, 5)).astype(dtype) for c in (3, 1, 4)]
+        runs = []
+        for fn in (lambda *p: ops.shuffle_concat(p, groups),
+                   lambda *p: shuffle_concat_primitives(p, groups)):
+            runs.append(_taped_grads(fn, [Tensor(a, requires_grad=True) for a in arrays], 0))
+        (out, nodes, grads), (want, _, want_grads) = runs
+        assert nodes == 1
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        for g, w in zip(grads, want_grads):
+            assert g.dtype == dtype and g.tobytes() == w.tobytes()
+
+    def test_channel_shuffle_is_one_part(self):
+        x = Tensor(np.random.default_rng(1).standard_normal((2, 6, 2, 2)))
+        assert np.array_equal(ops.channel_shuffle(x, 3).data, ops.shuffle_concat([x], 3).data)
+
+    @pytest.mark.parametrize("bad", ["none", "height", "dtype", "rank", "groups", "groups0"])
+    def test_bad_parts_rejected(self, bad):
+        a = Tensor(np.zeros((1, 2, 3, 3)))
+        other = {"height": Tensor(np.zeros((1, 2, 4, 3))),
+                 "dtype": Tensor(np.zeros((1, 2, 3, 3)), dtype=np.float32),
+                 "rank": Tensor(np.zeros(2))}.get(bad, a)
+        parts = [] if bad == "none" else [a, other]
+        groups = {"groups": 3, "groups0": 0}.get(bad, 2)
+        with pytest.raises(ShapeError):
+            ops.shuffle_concat(parts, groups)
+
+
+# EcaConv configurations: half the channels attended, all of them (no bypass),
+# and the adaptive strip ratio and kernel (k = 1 at 32 output channels)
+ECA_CASES = {"sigma0.5": dict(c_out=16), "sigma1.0": dict(c_out=8, sigma=1.0),
+             "adaptive": dict(c_out=32, adaptive=True)}
+
+
+def _eca_pair(case, dtype, layout, seed=0):
+    """eca_attention and the chain it replaced, each as (output, tape nodes, gradients)."""
+    m = EcaConv(np.random.default_rng(seed), 4, **ECA_CASES[case])
+    rng = np.random.default_rng(seed + 1)
+    y = (rng.standard_normal((3, m.c_out, 5, 4)) * 2.0).astype(dtype)
+    if layout == "batch-innermost":     # the layout conv2d returns
+        y = np.ascontiguousarray(y.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    w = rng.standard_normal(m.attn_weight.shape).astype(dtype)
+    return m, [_taped_grads(lambda *a: fn(*a, m.c_hat, m.shuffle_groups),
+                            [Tensor(y, requires_grad=True), Tensor(w.copy(), requires_grad=True)],
+                            seed + 2)
+               for fn in (ops.eca_attention, eca_attention_chain)]
+
+
+class TestEcaAttention:
+    """ECAConv's attention tail as one op, against the chain of taped ops it was."""
+
+    def test_cases_cover_no_bypass_and_a_one_tap_kernel(self):
+        rng = np.random.default_rng(0)
+        assert EcaConv(rng, 4, **ECA_CASES["sigma1.0"]).c_hat == 8
+        adaptive = EcaConv(rng, 4, **ECA_CASES["adaptive"])
+        assert (adaptive.c_hat, adaptive.attn_k) == (16, 1)
+
+    @pytest.mark.parametrize("layout", ["c-order", "batch-innermost"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(ECA_CASES))
+    def test_output_matches_the_chain_to_the_bit(self, case, dtype, layout):
+        _, ((out, nodes, _), (want, _, _)) = _eca_pair(case, dtype, layout)
+        assert nodes == 1
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", ["c-order", "batch-innermost"])
+    @pytest.mark.parametrize("case", list(ECA_CASES))
+    def test_f32_input_gradient_is_the_chains(self, case, layout):
+        _, ((_, _, (gy, _)), (_, _, (want, _))) = _eca_pair(case, np.float32, layout)
+        assert gy.dtype == np.float32 and gy.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", list(ECA_CASES))
+    def test_f64_gradients_match_the_chain(self, case):
+        for seed in range(3):
+            _, ((_, _, grads), (_, _, want)) = _eca_pair(case, np.float64, "c-order", seed)
+            for g, w in zip(grads, want):
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_bypass_channels_are_not_kept(self):
+        # the rule keeps a copy of the attended channels, never the input;
+        # with every channel attended that copy would be the input itself
+        y = Tensor(np.random.default_rng(3).standard_normal((2, 8, 4, 4)), requires_grad=True)
+        w = Tensor(np.full((1, 1, 3), 0.5))
+        ref = weakref.ref(y.data)
+        with Tape():
+            out = ops.eca_attention(y, w, 4, 2)
+            y.data = None
+            assert ref() is None
+        assert out.shape == (2, 8, 4, 4)
+
+    @pytest.mark.parametrize("bad", ["rank", "even-kernel", "weight-rank", "c-hat-0",
+                                     "c-hat-9", "groups", "dtype", "empty"])
+    def test_bad_arguments_rejected(self, bad):
+        y = np.zeros({"rank": (2, 8, 4), "empty": (2, 8, 0, 4)}.get(bad, (2, 8, 4, 4)))
+        w = np.zeros({"even-kernel": (1, 1, 2), "weight-rank": (1, 3)}.get(bad, (1, 1, 3)))
+        c_hat = {"c-hat-0": 0, "c-hat-9": 9}.get(bad, 4)
+        with pytest.raises(ShapeError):
+            ops.eca_attention(Tensor(y), Tensor(w, dtype=np.float32 if bad == "dtype" else None),
+                              c_hat, 3 if bad == "groups" else 2)
