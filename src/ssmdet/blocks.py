@@ -207,9 +207,11 @@ class LayerNorm(Module):
 class ConvBnAct(Conv2dLayer):
     """Conv (no bias) -> batch norm -> SiLU, the detector's standard unit.
 
-    Keeps: the norm's ``xhat``; the norm and SiLU are one taped op, whose
-    backward re-derives the sigmoid (:func:`ssmdet.ops.batch_norm`). A conv
-    that reads the unit's output keeps the norm's recipe for it, not a copy.
+    Keeps: the norm's ``xhat``; the norm and SiLU are one taped op
+    (:func:`ssmdet.ops.batch_norm`). A conv that reads the unit's output
+    keeps the norm's recipe for it, not a copy; in backward the recipe
+    derives the sigmoid and the output once, and leaves both for every
+    later reader and for the norm's rule.
     """
 
     def __init__(self, rng, c_in, c_out, kernel=1, stride=1, groups=1):

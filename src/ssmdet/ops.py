@@ -1,10 +1,10 @@
 """Neural-network operators on :class:`~ssmdet.tensor.Tensor`.
 
 Every convolution is :func:`conv2d`, for every kind of conv (dense,
-grouped, depthwise, 1x1, strided, and ECA's :func:`conv1d`, a k x 1 kernel
-over an L x 1 map): the [groups, out/groups, in/groups*kh*kw] weight times
-a column matrix whose rows are (input channel, tap) and whose columns are
-(output row, output column, image), one matmul per block of output rows.
+grouped, depthwise, 1x1, strided, k x 1): the [groups, out/groups,
+in/groups*kh*kw] weight times a column matrix whose rows are (input
+channel, tap) and whose columns are (output row, output column, image),
+one matmul per block of output rows.
 The columns are a read-only strided view of the padded input, copied one
 block at a time (Chellapilla et al. 2006), and the weight gradient
 contracts the same blocks with the output gradient. The input gradient
@@ -18,12 +18,15 @@ pooling, k-tap channel conv and sigmoid run on [batch, channels] arrays
 with the arithmetic of the ops they replace, whose chain the tests keep
 as the oracle.
 Batch and layer norm are one taped op each, with a closed-form backward
-that keeps only the normalized input. Batch norm can end in a SiLU inside
-that op, and layer norm in a SiLU gate (``norm(x) * silu(gate)``, which
-also keeps the gate): their backwards re-derive the sigmoid from the
-normalized input or the gate instead of holding it. Under a tape a norm's
-output can be rebuilt from what its op keeps, and a conv that reads it
-keeps that recipe instead of the array.
+that keeps only the normalized input; batch norm's takes the per-channel
+form, from the same two sums as its gain and shift gradients. Batch norm
+can end in a SiLU inside that op, and layer norm in a SiLU gate
+(``norm(x) * silu(gate)``, which also keeps the gate): their backwards
+derive the sigmoid again from the normalized input or the gate instead
+of holding it. Under a tape a norm's output can be rebuilt from what its
+op keeps, and a conv that reads it keeps that recipe instead of the
+array; a SiLU's rebuild leaves its sigmoid and output for the norm's
+rule, which pops them instead of deriving them again.
 
 Each rule's "keeps" note names what it holds for backward besides its
 inputs' gradient slots (see :mod:`ssmdet.tensor`).
@@ -34,16 +37,14 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (ShapeError, Tensor, _zeros_like_later, accumulate, concat, elementwise,
-                     kept_values, make_op)
+                     kept_values, make_op, recording)
 
 __all__ = [
     "batch_norm",
     "channel_shuffle",
     "concat_channels",
-    "conv1d",
     "conv2d",
     "eca_attention",
-    "global_avg_pool",
     "layer_norm",
     "linear",
     "shuffle_concat",
@@ -56,8 +57,14 @@ __all__ = [
 
 
 def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
-    # tanh saturates instead of overflowing, and keeps the input's dtype
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    """0.5 * (1 + tanh(z / 2)): tanh saturates instead of overflowing, and
+    keeps the input's dtype. Every step after the first writes into the
+    array the first one made (a 0-d array for a 0-d ``z``)."""
+    s = np.asarray(0.5 * z)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -74,14 +81,21 @@ def silu(x: Tensor) -> Tensor:
     """
     s = _sigmoid_stable(x.data)
     z = x.data * s
-    return elementwise(x, None, z, lambda g: g * (s + z * (1.0 - s)))
+    return elementwise(x, None, z, lambda g: g * _silu_slope(s, z))
 
 
-def _silu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g`` times silu's derivative at ``x``, computed as :func:`silu`'s rule does."""
-    s = _sigmoid_stable(x)
-    z = x * s
-    return g * (s + z * (1.0 - s))
+def _silu_slope(s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """silu's derivative ``s + z*(1-s)`` in a new array, from ``s = sigmoid(x)`` and ``z = x*s``.
+
+    A caller multiplies by it unnamed, as ``g * _silu_slope(s, z)``, so that
+    numpy's temporary elision can write a large product into this array, as
+    it did into the expression's temporary before: the product is laid out,
+    and later summed, as it was.
+    """
+    d = 1.0 - s
+    d *= z
+    d += s
+    return d
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -220,20 +234,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     return make_op(out, rule, x, w, bias)
 
 
-def conv1d(x: Tensor, w: Tensor) -> Tensor:
-    """Length-preserving 1D cross-correlation over [N, 1, L] with odd kernel."""
-    if x.ndim != 3 or x.shape[1] != 1:
-        raise ShapeError(f"conv1d: input must be [batch, 1, length], got {x.shape}")
-    if w.ndim != 3 or w.shape[:2] != (1, 1):
-        raise ShapeError(f"conv1d: weight must be [1, 1, k], got {w.shape}")
-    k = w.shape[2]
-    if k % 2 == 0:
-        raise ShapeError(f"conv1d: kernel length {k} must be odd")
-    n, _, length = x.shape
-    out = conv2d(x.reshape(n, 1, length, 1), w.reshape(1, 1, k, 1), padding=(k // 2, 0))
-    return out.reshape(n, 1, length)
-
-
 # ---- normalization --------------------------------------------------------
 
 _EPS = 1e-5          # added to the variance by both norms
@@ -253,49 +253,94 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
     """``h = xhat * gain + shift`` with ``xhat = xc * rstd`` as one taped op;
     ``silu(h)`` when ``silu`` is set, ``h * silu(gate)`` when a gate is given.
 
-    ``xc`` is ``x`` less its mean; both statistics were taken over ``axes``,
-    or are constants when it is None. ``gx = rstd * (gh - mean(gh) - xhat *
-    mean(gh * xhat))`` over ``axes``, with ``gh = g * gain``. With ``silu``,
-    ``g`` is first multiplied by :func:`silu`'s derivative, from ``h``
-    re-derived out of ``xhat``; with a gate, the gate gets ``g * h`` times
+    ``xc`` is ``x`` less its mean, an array of the caller's that becomes
+    ``xhat`` in place; both statistics were taken over ``axes``, or are
+    constants when it is None. With ``silu``, the rule first multiplies
+    ``g`` by :func:`silu`'s derivative ``s + z*(1-s)`` at ``h``, with ``s =
+    sigmoid(h)`` and ``z = h*s``; with a gate, the gate gets ``g * h`` times
     that derivative at the gate, and ``g`` is multiplied by ``silu(gate)``.
+    Then ``gain`` gets ``Σ g*xhat`` and ``shift`` ``Σ g``. Batch norm's
+    gain and ``rstd`` are constant per channel, so its x-gradient is the
+    closed form ``(g - Σg/m - xhat * Σ(g*xhat)/m) * (gain * rstd)``, the
+    sums running over the ``m`` values of a channel (``g * (gain * rstd)``
+    with constant statistics). Layer norm's gain varies along its
+    statistics' axis: ``gx = rstd * (gh - mean(gh) - xhat * mean(gh *
+    xhat))`` over ``axes``, with ``gh = g * gain``. Chains write into
+    arrays they made, except where the fresh result could be laid out
+    otherwise and is later summed: numpy sums in memory order.
+
     Keeps: ``xhat``, ``rstd``, the gain, the shift and the gate's values.
     A recorded output's ``rebuild`` recomputes it from these with the
-    forward's own code, so a conv that reads it keeps no copy of it.
+    forward's own code, so a conv that reads it keeps no copy of it. With
+    the SiLU, the first rebuild also leaves ``s`` and ``z`` for the rule,
+    and every later rebuild (a fanned-out output) returns that ``z``: the
+    pair is held from the first consumer's rule until the norm's rule pops it.
     """
-    xhat = xc * rstd
+    xhat = xc
+    xhat *= rstd
     gain4, shift4 = gain.data.reshape(1, -1, 1, 1), shift.data.reshape(1, -1, 1, 1)
     xs, gs, ss = x.slot, gain.slot, shift.slot
     gate_v, gate_s = (gate.data, gate.slot) if gate is not None else (None, None)
 
-    def rule(g):
-        if silu:
-            g = _silu_grad(xhat * gain4 + shift4, g)
-        elif gate_v is not None:
-            s = _sigmoid_stable(gate_v)
-            z = gate_v * s
-            accumulate(gate_s, g * (xhat * gain4 + shift4) * (s + z * (1.0 - s)))
-            g = g * z
-        accumulate(gs, (g * xhat).sum(axis=(0, 2, 3)))
-        accumulate(ss, g.sum(axis=(0, 2, 3)))
-        if xs.requires_grad:
-            gh = g * gain4
-            if axes is not None:
-                gh = gh - gh.mean(axis=axes, keepdims=True) \
-                    - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
-            accumulate(xs, gh * rstd)
+    def affine():
+        h = xhat * gain4
+        h += shift4
+        return h
+
+    def silu_pair():
+        """``s = sigmoid(h)`` and ``z = h * s``, written into ``h``'s array."""
+        h = affine()
+        s = _sigmoid_stable(h)
+        h *= s
+        return s, h
 
     def output():
-        h = xhat * gain4 + shift4
         if silu:
-            return h * _sigmoid_stable(h)
+            return silu_pair()[1]
+        h = affine()
         if gate_v is not None:
             return h * (gate_v * _sigmoid_stable(gate_v))
         return h
 
+    pair = []   # (s, z) a consumer's rebuild left for the rule
+
+    def rebuild():
+        if not pair:
+            pair.extend(silu_pair())
+        return pair[1]
+
+    def rule(g):
+        if silu:
+            s, z = pair or silu_pair()
+            pair.clear()
+            g = g * _silu_slope(s, z)
+        elif gate_v is not None:
+            s = _sigmoid_stable(gate_v)
+            z = gate_v * s
+            accumulate(gate_s, g * affine() * _silu_slope(s, z))
+            g = g * z
+        sum_gx, sum_g = (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+        accumulate(gs, sum_gx)
+        accumulate(ss, sum_g)
+        if not xs.requires_grad:
+            return
+        if axes == (1,):        # layer norm
+            gh = g * gain4
+            gh = gh - gh.mean(axis=axes, keepdims=True) \
+                - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
+            accumulate(xs, gh * rstd)
+        elif axes is None:      # batch norm with its running statistics
+            accumulate(xs, g * (gain4 * rstd))
+        else:                   # batch norm with the batch's
+            m = g.size // g.shape[1]
+            gx = (g - (sum_g / m).reshape(1, -1, 1, 1)) \
+                - xhat * (sum_gx / m).reshape(1, -1, 1, 1)
+            gx *= gain4 * rstd
+            accumulate(xs, gx)
+
     out = make_op(output(), rule, x, gain, shift, gate)
     if out.requires_grad:   # recorded: a consumer may keep the recipe instead of the array
-        out.rebuild = output
+        out.rebuild = rebuild if silu else output
     return out
 
 
@@ -343,15 +388,7 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, gate: Tensor | None = Non
     return _normalize(x, xc, (var + _EPS) ** -0.5, gain, shift, (1,), gate=gate)
 
 
-# ---- pooling / layout -----------------------------------------------------
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    if x.ndim != 4:
-        raise ShapeError(f"global_avg_pool: input must be 4D, got {x.shape}")
-    if x.shape[2] * x.shape[3] == 0:
-        raise ShapeError("global_avg_pool: zero spatial extent")
-    return x.mean(axis=(2, 3), keepdims=True)
-
+# ---- layout ------------------------------------------------------------
 
 def _shuffled_positions(c: int, groups: int) -> np.ndarray:
     """Where the channel shuffle puts each of ``c`` channels: channel ``m`` of
@@ -438,8 +475,9 @@ def eca_attention(y: Tensor, attn_weight: Tensor, c_hat: int, groups: int) -> Te
 
     Per image, the gates are ``sigmoid(conv1d(mean_hw(y[:, :c_hat]),
     attn_weight))``: the height-width mean of each attended channel, a
-    zero-padded k-tap conv across the channels as :func:`conv1d` computes it
-    (float64 products summed in tap order, rounded once), and the sigmoid.
+    zero-padded k-tap conv across the channels as a k x 1 :func:`conv2d`
+    computes it (float64 products summed in tap order, rounded once), and
+    the sigmoid.
     The attended channels times their gates and the bypass channels
     ``y[:, c_hat:]`` (none when ``c_hat`` is all of them) are written into
     their channels of :func:`shuffle_concat`. Backward repeats the rules of
@@ -449,7 +487,8 @@ def eca_attention(y: Tensor, attn_weight: Tensor, c_hat: int, groups: int) -> Te
 
     Keeps: the attended channels (a copy, or ``y``'s array when every
     channel is attended), the gates, the padded means, the weight's values
-    and ``y``'s layout; never the bypass channels.
+    and ``y``'s layout; never the bypass channels. Without a tape the
+    attended channels are copied only where their view is not in C order.
     """
     if y.ndim != 4:
         raise ShapeError(f"eca_attention: input must be 4D, got {y.shape}")
@@ -465,7 +504,11 @@ def eca_attention(y: Tensor, attn_weight: Tensor, c_hat: int, groups: int) -> Te
     dest = _shuffled_positions(c, groups)
     k, dtype = attn_weight.shape[2], y.data.dtype
     pad = k // 2
-    att = y.data[:, :c_hat].copy() if c_hat < c else y.data
+    att = y.data[:, :c_hat] if c_hat < c else y.data
+    # the rule keeps a copy, never y's array; a view in C order (batch 1)
+    # sums and scales as its copy does, so without a rule it is not copied
+    if c_hat < c and (recording(y, attn_weight) or not att.flags.c_contiguous):
+        att = att.copy()
     padded = np.zeros((n, c_hat + 2 * pad))
     # np.mean's bytes at a third of its cost: np.mean divides a float32 sum in
     # float64 and rounds back, which for one division is the float32 quotient

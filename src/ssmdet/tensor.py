@@ -48,6 +48,7 @@ __all__ = [
     "make_op",
     "maximum",
     "minimum",
+    "recording",
 ]
 
 
@@ -150,20 +151,25 @@ def make_op(out_data: np.ndarray, rule: Callable[[np.ndarray], None], *inputs) -
     its inputs' slots and no more than the arrays it reads lets every
     other array go when the forward drops it.
     """
-    tape = active_tape()
-    rec = tape is not None and any(
-        isinstance(t, Tensor) and t.slot.requires_grad for t in inputs
-    )
+    rec = recording(*inputs)
     out = Tensor(out_data, requires_grad=rec)
     if rec:
-        tape._nodes.append((out.slot, rule))
+        active_tape()._nodes.append((out.slot, rule))
     return out
+
+
+def recording(*inputs) -> bool:
+    """Whether :func:`make_op` records an op on ``inputs``: a tape is active
+    and one of them requires a gradient."""
+    return active_tape() is not None and any(
+        isinstance(t, Tensor) and t.slot.requires_grad for t in inputs)
 
 
 def kept_values(t: "Tensor") -> Callable[[], np.ndarray]:
     """What a rule keeps to read ``t``'s values in backward: a function that
     returns them. It is ``t.rebuild`` where the op that made ``t`` left one, so
-    ``t``'s array goes when the forward drops ``t``; otherwise it holds ``t.data``."""
+    ``t``'s array goes when the forward drops ``t``; otherwise it holds ``t.data``.
+    Either way the array may be shared with other readers: a rule only reads it."""
     if t.rebuild is not None:
         return t.rebuild
     data = t.data

@@ -388,10 +388,28 @@ def shuffle_concat_primitives(parts, groups):
         0, 2, 1, *range(3, x.ndim + 1)).reshape(n, c, *rest)
 
 
+def conv1d(x, w):
+    """ECA's length-preserving 1D cross-correlation over [N, 1, L] with an odd
+    kernel, as the taped k x 1 conv2d over an L x 1 map that it ran as."""
+    from ssmdet.ops import conv2d
+    from ssmdet.tensor import ShapeError
+
+    if x.ndim != 3 or x.shape[1] != 1:
+        raise ShapeError(f"conv1d: input must be [batch, 1, length], got {x.shape}")
+    if w.ndim != 3 or w.shape[:2] != (1, 1):
+        raise ShapeError(f"conv1d: weight must be [1, 1, k], got {w.shape}")
+    k = w.shape[2]
+    if k % 2 == 0:
+        raise ShapeError(f"conv1d: kernel length {k} must be odd")
+    n, _, length = x.shape
+    out = conv2d(x.reshape(n, 1, length, 1), w.reshape(1, 1, k, 1), padding=(k // 2, 0))
+    return out.reshape(n, 1, length)
+
+
 def eca_attention_chain(y, attn_weight, c_hat, groups):
     """ECA's attention tail as the chain of taped ops it was: split -> mean ->
     conv1d across the channels -> sigmoid -> scale -> concat -> shuffle."""
-    from ssmdet.ops import conv1d, sigmoid
+    from ssmdet.ops import sigmoid
 
     n, c = y.shape[:2]
     att = y if c_hat == c else y[:, :c_hat]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import conv1d
 from ssmdet import ops
 from ssmdet.blocks import (
     ConvBnAct,
@@ -102,8 +103,8 @@ class TestEcaConv:
 
         y = ops.conv2d(x, m.weight, m.bias, m.stride, m.pad)
         att, byp = ops.split_channels(y, [m.c_hat, m.c_out - m.c_hat])
-        pooled = ops.global_avg_pool(att).reshape(1, 1, m.c_hat)
-        gates = ops.sigmoid(ops.conv1d(pooled, m.attn_weight)).reshape(1, m.c_hat, 1, 1)
+        pooled = att.mean(axis=(2, 3), keepdims=True).reshape(1, 1, m.c_hat)
+        gates = ops.sigmoid(conv1d(pooled, m.attn_weight)).reshape(1, m.c_hat, 1, 1)
         want = ops.channel_shuffle(
             ops.concat_channels([att * gates, byp]), m.shuffle_groups).data
         assert np.abs(got - want).max() <= 1e-6
@@ -114,8 +115,8 @@ class TestEcaConv:
         x = Tensor(rng.standard_normal((1, 4, 6, 6)))
         att = ops.split_channels(
             ops.conv2d(x, m.weight, m.bias, m.stride, m.pad), [m.c_hat, m.c_out - m.c_hat])[0]
-        pooled = ops.global_avg_pool(att).reshape(1, 1, m.c_hat)
-        gates = ops.sigmoid(ops.conv1d(pooled, m.attn_weight)).data
+        pooled = att.mean(axis=(2, 3), keepdims=True).reshape(1, 1, m.c_hat)
+        gates = ops.sigmoid(conv1d(pooled, m.attn_weight)).data
         assert np.all(gates > 0.0) and np.all(gates < 1.0)
 
     def test_even_attention_kernel_rejected(self):

@@ -55,8 +55,8 @@ _OPTIONS_IN_ID = ("--channels", "--states", "--count", "--image-size", "--seed",
     ["scan-bench", "--lengths", "16", "--block-lens", "8", "--channels", "0"],
     ["scan-bench", "--lengths", "16", "--block-lens", "8", "--states", "0"],
     ["scan-bench", "--lengths", "16", "--block-lens", "8", "--states", "-1"],
-    ["grad-check", "--block", "conv1d", "--seeds", "0"],
-    ["grad-check", "--block", "conv1d", "--seeds", "-1"],
+    ["grad-check", "--block", "upsample", "--seeds", "0"],
+    ["grad-check", "--block", "upsample", "--seeds", "-1"],
     ["gen-synthetic", "--out", "OUT", "--count", "0"],
     ["gen-synthetic", "--out", "OUT", "--count", "-1"],
     ["gen-synthetic", "--out", "OUT", "--image-size", "3"],
@@ -108,7 +108,7 @@ def test_check_shapes_ok(capsys):
 
 
 def test_grad_check_single_block(capsys):
-    assert main(["grad-check", "--block", "conv1d", "--seeds", "2"]) == 0
+    assert main(["grad-check", "--block", "upsample", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
     assert "grad-check blocks=1 failed=0" in out
 

@@ -63,8 +63,8 @@ def test_sampling_caps_checked_elements():
 def test_every_op_passes_on_twenty_seeds():
     from ssmdet.verify import run_grad_suite
 
-    op_checks = ["conv2d", "conv2d_depthwise", "conv1d", "batch_norm",
-                 "layer_norm", "activations", "pool_upsample",
+    op_checks = ["conv2d", "conv2d_depthwise", "batch_norm",
+                 "layer_norm", "activations", "upsample",
                  "shuffle_split", "linear", "scan"]
     results = run_grad_suite(op_checks, seeds=range(20), max_elements=16)
     for name, reports in results.items():
