@@ -8,6 +8,7 @@ empty file yields all defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -43,6 +44,8 @@ class RunConfig:
         if not self.lr_final < self.lr_initial:
             raise ConfigError(
                 f"lr_final {self.lr_final} must be smaller than lr_initial {self.lr_initial}")
+        if self.lr_final < 0.0:
+            raise ConfigError(f"lr_final {self.lr_final} must be >= 0")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes {self.num_classes} must be >= 1")
         if self.seed < 0:
@@ -59,6 +62,11 @@ class RunConfig:
             raise ConfigError(f"conf_threshold {self.conf_threshold} must be in [0, 1]")
         if self.scale.lower() not in ("n", "s", "m"):
             raise ConfigError(f"scale {self.scale!r} must be one of n, s, m")
+        for name in ("width_override", "depth_override"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} {value} must be finite and >= 0 "
+                                  f"(0 keeps the scale's own)")
         return self
 
 

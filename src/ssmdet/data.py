@@ -8,6 +8,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,7 +79,8 @@ def load_ppm(path) -> np.ndarray:
             raise ValueError(f"load_ppm: {path}: truncated header")
         ch = raw[pos:pos + 1]
         if ch == b"#":
-            pos = raw.index(b"\n", pos) + 1
+            # to the line's end; a comment that runs to the file's end truncates the header
+            pos = raw.find(b"\n", pos) + 1 or len(raw)
         elif ch.isspace():
             pos += 1
         else:
@@ -200,11 +202,45 @@ def save_annotations(annotated: list[AnnotatedImage], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_document(path, what: str, item: str, item_fields: int):
-    """Split a document into (image line head, item fields) records.
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _class_and_box(cls: str, coords) -> tuple[int, tuple]:
+    """A class id >= 0 and a box of finite (x1, y1, x2, y2) with x1 <= x2, y1 <= y2."""
+    class_id, box = int(cls), tuple(_finite(v) for v in coords)
+    if class_id < 0:
+        raise ValueError(f"class id {class_id} must be >= 0")
+    if box[2] < box[0] or box[3] < box[1]:
+        raise ValueError(f"box {box} must have x1 <= x2 and y1 <= y2")
+    return class_id, box
+
+
+def _annotated_head(head: str) -> tuple[str, int, int]:
+    rel, h, w = head.rsplit(" ", 2)
+    if int(h) < 1 or int(w) < 1:
+        raise ValueError(f"image size {h}x{w} (height x width) must be at least 1x1")
+    return rel, int(h), int(w)
+
+
+def _detection(fields) -> Detection:
+    class_id, box = _class_and_box(fields[0], fields[2:6])
+    score = _finite(fields[1])
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score {score!r} must be in [0, 1]")
+    return Detection(box=box, score=score, class_id=class_id)
+
+
+def _read_document(path, what: str, item: str, item_fields: int, parse_head, parse_item):
+    """Parse a document into (parse_head(image line head), [parse_item(item
+    fields after the word), ...]) records.
 
     Checks the `count` line against the `image` lines and each image's
-    count against the `item` lines after it; ValueError names the line.
+    count against the `item` lines after it; ValueError names the line,
+    also where a parser rejects it.
     """
     lines = Path(path).read_text().removesuffix("\n").split("\n")
     if lines[0] != f"version {_DOC_VERSION}":
@@ -212,6 +248,13 @@ def _read_document(path, what: str, item: str, item_fields: int):
 
     def fail(i, message):
         raise ValueError(f"{path} line {i + 1}: {message}")
+
+    def parsed(i, parse, value):
+        try:
+            return parse(value)
+        except ValueError as err:
+            message = str(err)
+        fail(i, message)
 
     def counted(i, kind):
         line = lines[i] if i < len(lines) else ""
@@ -229,10 +272,11 @@ def _read_document(path, what: str, item: str, item_fields: int):
         items = [line.split() for line in lines[i + 1:i + 1 + num_items]]
         if len(items) < num_items:
             fail(i, f"image announces {num_items} {item} lines, {len(items)} follow")
+        records.append((parsed(i, parse_head, head), []))
         for j, fields in enumerate(items, start=i + 1):
             if fields[:1] != [item] or len(fields) != item_fields:
                 fail(j, f"expected a {item_fields}-field {item} line, got {lines[j]!r}")
-        records.append((head, items))
+            records[-1][1].append(parsed(j, parse_item, fields[1:]))
         i += 1 + num_items
     if len(records) != num_images:
         fail(1, f"count {num_images} != {len(records)} image lines")
@@ -240,12 +284,12 @@ def _read_document(path, what: str, item: str, item_fields: int):
 
 
 def load_annotations(path) -> list[AnnotatedImage]:
-    out: list[AnnotatedImage] = []
-    for head, boxes in _read_document(path, "annotations", "box", 6):
-        rel, h, w = head.rsplit(" ", 2)
-        out.append(AnnotatedImage(rel, int(h), int(w), [
-            (int(f[1]), tuple(float(v) for v in f[2:6])) for f in boxes]))
-    return out
+    """Read an annotations document. ValueError names the file and line of a
+    malformed line, a non-finite number, a class id below 0, a box with x2 < x1
+    or y2 < y1 (x1 == x2 is legal: clamping makes such boxes), or an image
+    size below 1."""
+    return [AnnotatedImage(rel, h, w, boxes) for (rel, h, w), boxes in _read_document(
+        path, "annotations", "box", 6, _annotated_head, lambda f: _class_and_box(f[0], f[1:]))]
 
 
 def load_dataset_arrays(root) -> list[tuple[np.ndarray, list]]:
@@ -267,8 +311,6 @@ def save_detections(per_image: dict[str, list], path) -> None:
 
 
 def load_detections(path) -> dict[str, list]:
-    return {
-        image_path: [Detection(box=tuple(float(v) for v in f[3:7]), score=float(f[2]),
-                               class_id=int(f[1])) for f in dets]
-        for image_path, dets in _read_document(path, "detections", "det", 7)
-    }
+    """Read a detections document, keyed by image path. ValueError names the
+    file and line where :func:`load_annotations` would, and of a score outside [0, 1]."""
+    return dict(_read_document(path, "detections", "det", 7, str, _detection))

@@ -26,7 +26,12 @@ derive the sigmoid again from the normalized input or the gate instead
 of holding it. Under a tape a norm's output can be rebuilt from what its
 op keeps, and a conv that reads it keeps that recipe instead of the
 array; a SiLU's rebuild leaves its sigmoid and output for the norm's
-rule, which pops them instead of deriving them again.
+rule, which pops them instead of deriving them again. Recipes also run
+through a linear (from the input it keeps for its weight gradient), a
+softplus over a recipe (which keeps that recipe, not its output, and
+pops what a rebuild leaves, as the SiLU does), the concats, the
+upsample and a slice of a recipe, so the scan's delta and the merges
+that only a conv's weight gradient reads are rebuilt in backward, not held.
 
 Each rule's "keeps" note names what it holds for backward besides its
 inputs' gradient slots (see :mod:`ssmdet.tensor`).
@@ -98,16 +103,49 @@ def _silu_slope(s: np.ndarray, z: np.ndarray) -> np.ndarray:
     return d
 
 
-def softplus(x: Tensor) -> Tensor:
-    """out = log(1 + e^x). Keeps: its output.
-
-    The derivative sigmoid(x) is 1 - e^-out, taken as -expm1(-out), so a
-    consumer that keeps the output (the scan keeps delta) shares the array.
-    """
+def _softplus(x: np.ndarray) -> np.ndarray:
     # this form does not overflow; np.logaddexp is a scalar loop
-    xd = x.data
-    out = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
-    return elementwise(x, None, out, lambda g: g * -np.expm1(-out))
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _left_for_rule(make):
+    """``(rebuild, take)`` over ``make()``, whose result an op's rule also reads.
+
+    ``rebuild()`` computes the result on its first call and returns that same
+    result to every later reader; ``take()`` hands it to the rule and drops
+    it, or computes it when no reader rebuilt it. The result is held from
+    the first rebuild (a consumer's rule) until the op's own rule.
+    """
+    left = []
+
+    def rebuild():
+        if not left:
+            left.append(make())
+        return left[0]
+
+    return rebuild, lambda: left.pop() if left else make()
+
+
+def softplus(x: Tensor) -> Tensor:
+    """out = log(1 + e^x). Keeps: ``x``'s recipe where it has one, else its output.
+
+    The derivative sigmoid(x) is 1 - e^-out, taken as -expm1(-out). Where
+    ``x`` has a recipe, a recorded output gets the recipe ``softplus(x)``:
+    the first rebuild leaves its result for the rule, which pops it (it
+    derives ``out`` itself when no consumer rebuilt the output), so a
+    consumer that keeps the recipe (the scan keeps delta's) holds no array
+    and ``out`` is derived once per backward. Without a recipe, a consumer
+    that keeps the output shares the array the rule keeps.
+    """
+    out = _softplus(x.data)
+    if x.rebuild is None:
+        return elementwise(x, None, out, lambda g: g * -np.expm1(-out))
+    values = x.rebuild
+    rebuild, take = _left_for_rule(lambda: _softplus(values()))
+    y = elementwise(x, None, out, lambda g: g * -np.expm1(-take()))
+    if y.requires_grad:
+        y.rebuild = rebuild
+    return y
 
 
 # ---- convolution ----------------------------------------------------------
@@ -302,17 +340,11 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
             return h * (gate_v * _sigmoid_stable(gate_v))
         return h
 
-    pair = []   # (s, z) a consumer's rebuild left for the rule
-
-    def rebuild():
-        if not pair:
-            pair.extend(silu_pair())
-        return pair[1]
+    shared_pair, take_pair = _left_for_rule(silu_pair)
 
     def rule(g):
         if silu:
-            s, z = pair or silu_pair()
-            pair.clear()
+            s, z = take_pair()
             g = g * _silu_slope(s, z)
         elif gate_v is not None:
             s = _sigmoid_stable(gate_v)
@@ -340,7 +372,7 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
 
     out = make_op(output(), rule, x, gain, shift, gate)
     if out.requires_grad:   # recorded: a consumer may keep the recipe instead of the array
-        out.rebuild = rebuild if silu else output
+        out.rebuild = (lambda: shared_pair()[1]) if silu else output
     return out
 
 
@@ -405,7 +437,9 @@ def shuffle_concat(parts, groups: int) -> Tensor:
     C/groups), transpose and flatten, so group members interleave; shuffling
     with C/groups groups inverts it. Each part is written straight into its
     shuffled channels, and backward gives each part its own channels of the
-    gradient. Keeps: the parts' slots and the channel positions.
+    gradient. Keeps: the parts' slots and the channel positions. A recorded
+    output's recipe joins what :func:`~ssmdet.tensor.kept_values` gives of
+    each part the same way, so a conv that reads the output holds no copy.
     """
     parts = list(parts)
     if not parts:
@@ -418,9 +452,14 @@ def shuffle_concat(parts, groups: int) -> Tensor:
                              f"{first.shape} {first.dtype} outside the channel axis")
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
     dest = _shuffled_positions(int(offsets[-1]), groups)
-    out = np.empty(first.shape[:1] + (int(offsets[-1]),) + first.shape[2:], first.dtype)
-    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        out[:, dest[lo:hi]] = p.data
+    shape, dtype = first.shape[:1] + (int(offsets[-1]),) + first.shape[2:], first.dtype
+
+    def join(values):
+        out = np.empty(shape, dtype)
+        for v, lo, hi in zip(values, offsets[:-1], offsets[1:]):
+            out[:, dest[lo:hi]] = v
+        return out
+
     slots = [p.slot for p in parts]
 
     def rule(g):
@@ -428,7 +467,11 @@ def shuffle_concat(parts, groups: int) -> Tensor:
         for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
             accumulate(slot, g[:, lo:hi])
 
-    return make_op(out, rule, *parts)
+    out = make_op(join([p.data for p in parts]), rule, *parts)
+    if out.requires_grad:
+        kept = [kept_values(p) for p in parts]
+        out.rebuild = lambda: join([v() for v in kept])
+    return out
 
 
 def channel_shuffle(x: Tensor, groups: int) -> Tensor:
@@ -454,7 +497,8 @@ def concat_channels(parts) -> Tensor:
 def upsample_nearest(x: Tensor) -> Tensor:
     """Double the height and width of a [n, c, h, w] map by repeating each cell.
 
-    Keeps: the input's shape.
+    Keeps: the input's shape. A recorded output's recipe repeats what
+    :func:`~ssmdet.tensor.kept_values` gives of the input.
     """
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest: input must be 4D, got {x.shape}")
@@ -464,7 +508,11 @@ def upsample_nearest(x: Tensor) -> Tensor:
     def rule(g):
         accumulate(slot, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    return make_op(x.data.repeat(2, axis=2).repeat(2, axis=3), rule, x)
+    out = make_op(x.data.repeat(2, axis=2).repeat(2, axis=3), rule, x)
+    if out.requires_grad:
+        values = kept_values(x)
+        out.rebuild = lambda: values().repeat(2, axis=2).repeat(2, axis=3)
+    return out
 
 
 # ---- channel attention ----------------------------------------------------
@@ -548,23 +596,30 @@ def eca_attention(y: Tensor, attn_weight: Tensor, c_hat: int, groups: int) -> Te
     return make_op(out, rule, y, attn_weight)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    # numpy's matmul can sum a negatively strided input (a flip view) in
+    # another order than a contiguous copy of it; the product alone takes such
+    # a copy, so a view and a copy of the same values give the same output
+    if min(x.strides, default=0) < 0:
+        x = np.ascontiguousarray(x)
+    out = x @ w.T
+    return out if b is None else out + b
+
+
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map over the last axis: x @ w.T + bias, weight [out, in].
 
     Keeps: ``x``'s values if ``w`` needs a gradient, ``w``'s if ``x`` does.
+    Where it keeps ``x``'s values, a recorded output gets the recipe
+    ``x @ w.T + bias`` from them, which also holds the weight's and bias's.
     """
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input features {x.shape[-1]} != weight in-dim {w.shape[1]}")
-    # numpy's matmul can sum a negatively strided input (a flip view) in
-    # another order than a contiguous copy of it; the product alone takes such
-    # a copy, so a view and a copy of the same values give the same output
-    xd = x.data if min(x.data.strides, default=0) >= 0 else np.ascontiguousarray(x.data)
-    out = xd @ w.data.T
-    if bias is not None:
-        out = out + bias.data
+    wd, bd = w.data, bias.data if bias is not None else None
+    out = _affine(x.data, wd, bd)
     xs, ws, bs = x.slot, w.slot, bias.slot if bias is not None else None
     xv = x.data if ws.requires_grad else None
-    wv = w.data if xs.requires_grad else None
+    wv = wd if xs.requires_grad else None
 
     def rule(g):
         if bs is not None:
@@ -575,4 +630,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
         if wv is not None:
             accumulate(xs, g @ wv)
 
-    return make_op(out, rule, x, w, bias)
+    y = make_op(out, rule, x, w, bias)
+    if xv is not None and y.requires_grad:
+        y.rebuild = lambda: _affine(xv, wd, bd)
+    return y

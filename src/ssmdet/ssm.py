@@ -26,7 +26,10 @@ depend on the chunking, so every chunk length gives the same outputs.
 its chunk length from the input's shape so that one buffer stays within
 256 KiB. Under a tape it keeps only each chunk's start state; backward
 re-runs a chunk's recurrence from it (Mamba's recomputation) before
-stepping that chunk's adjoint.
+stepping that chunk's adjoint. It keeps delta as its recipe where delta
+has one (a softplus over the low-rank dt projection, in the vision
+blocks), and backward derives delta from it once, as Mamba's fused
+kernel recomputes delta.
 """
 
 from __future__ import annotations
@@ -314,8 +317,10 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
     most L (64, 32 and 16 steps at batch 1 and D = 64, 128 and 256 with
     N = 16 in float32; 16 at batch 8). Every chunk length gives the same y.
 
-    Keeps: the values of x, delta, B, P and Q, A as [N, D], and the chunk
-    start states.
+    Keeps: the values of x, B, P and Q, A as [N, D], the chunk start
+    states, and delta's values as :func:`~ssmdet.tensor.kept_values` gives
+    them: a softplus output's recipe, not the array, which backward rebuilds
+    once.
     """
     bt, length, d = x.shape
     n = A.shape[1]
@@ -329,26 +334,31 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
         block_len = _default_block_len(bt, length, n, d, x.data.itemsize)
     if block_len < 1:
         raise ShapeError(f"ssm_scan: block_len {block_len} must be >= 1")
-    xd, dd, bd, pd, qd = x.data, delta.data, B.data, P.data, Q.data
+    xd, bd, pd, qd = x.data, B.data, P.data, Q.data
     a_t = _states_first(A.data)
     keep = T.active_tape() is not None and any(t.requires_grad for t in (x, delta, A, B, P, Q))
     starts = np.empty((-(-length // block_len), bt, n, d), dtype=xd.dtype) if keep else None
 
-    def discretize(t0, t1, abar, bx):
-        dch = _time_major(dd, t0, t1)
-        np.exp(np.einsum("cbd,nd->cbnd", dch, a_t, out=abar), out=abar)
-        np.einsum("cbn,cbd->cbnd", _time_major(bd, t0, t1), dch * _time_major(xd, t0, t1),
-                  out=bx)
+    def discretizer(dd):
+        def discretize(t0, t1, abar, bx):
+            dch = _time_major(dd, t0, t1)
+            np.exp(np.einsum("cbd,nd->cbnd", dch, a_t, out=abar), out=abar)
+            np.einsum("cbn,cbd->cbnd", _time_major(bd, t0, t1), dch * _time_major(xd, t0, t1),
+                      out=bx)
+        return discretize
 
     def readout(t0, t1, hs):
         return (_time_major(pd, t0, t1)[:, :, None, :] @ hs)[:, :, 0]
 
-    y, _ = _chunked_scan(xd, qd, n, xd.dtype, discretize, readout, block_len, starts)
+    y, _ = _chunked_scan(xd, qd, n, xd.dtype, discretizer(delta.data), readout, block_len,
+                         starts)
 
     slots = [t.slot for t in (x, delta, A, B, P, Q)]
+    delta_values = T.kept_values(delta)
 
     def rule(g):
-        gx, gdelta, ga, gb, gp, gq = _scan_backward(g, xd, dd, a_t, bd, pd, qd, discretize,
+        dd = delta_values()
+        gx, gdelta, ga, gb, gp, gq = _scan_backward(g, xd, dd, a_t, bd, pd, qd, discretizer(dd),
                                                     starts, block_len)
         for slot, grad in zip(slots, (gx, gdelta, ga.T, gb, gp, gq)):
             accumulate(slot, grad)

@@ -12,7 +12,8 @@ not when backward runs. An op whose rule keeps enough to recompute its
 output can leave a recipe for it on the output (``Tensor.rebuild``); a
 consumer that reads the output in backward keeps what :func:`kept_values`
 gives, that recipe where there is one, so the output's array is not held
-a second time. Because the recording order is an execution order,
+a second time. A layout op's recipe (:func:`concat`, a slice of an
+output that has one) is built from its inputs' :func:`kept_values`. Because the recording order is an execution order,
 replaying the rules in reverse is a valid reverse-topological walk:
 each node fires exactly once, and gradients of fanned-out tensors
 accumulate additively. Backward consumes the tape: each node is dropped,
@@ -377,15 +378,20 @@ class Tensor:
         return make_op(self.data.transpose(axes), lambda g: accumulate(slot, g.transpose(inv)), self)
 
     def __getitem__(self, key):
+        """A copy of a basic slice. Keeps: the input's slot and layout. The
+        slice of an input that has a recipe gets the recipe ``rebuild()[key]``."""
         _validate_basic_key(key)
-        slot, zeros = self.slot, _zeros_like_later(self.data)
+        slot, zeros, whole = self.slot, _zeros_like_later(self.data), self.rebuild
 
         def rule(g):
             gx = zeros()
             gx[key] += g
             accumulate(slot, gx)
 
-        return make_op(self.data[key].copy(), rule, self)
+        out = make_op(self.data[key].copy(), rule, self)
+        if whole is not None and out.requires_grad:
+            out.rebuild = lambda: whole()[key].copy()
+        return out
 
 
 def _validate_basic_key(key) -> None:
@@ -425,7 +431,12 @@ def flip(x: Tensor, axis: int) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join ``parts`` along ``axis``. Keeps: the parts' slots and offsets."""
+    """Join ``parts`` along ``axis``. Keeps: the parts' slots and offsets.
+
+    A recorded output's recipe joins what :func:`kept_values` gives of each
+    part, so a consumer that keeps it holds the parts' recipes or arrays,
+    never a joined copy.
+    """
     parts = list(parts)
     if not parts:
         raise ShapeError("concat of zero tensors")
@@ -440,4 +451,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             idx[axis] = slice(lo, hi)
             accumulate(slot, g[tuple(idx)])
 
-    return make_op(np.concatenate([p.data for p in parts], axis=axis), rule, *parts)
+    out = make_op(np.concatenate([p.data for p in parts], axis=axis), rule, *parts)
+    if out.requires_grad:
+        values = [kept_values(p) for p in parts]
+        out.rebuild = lambda: np.concatenate([v() for v in values], axis=axis)
+    return out

@@ -392,6 +392,19 @@ class TestRetainedMemory:
         ratio = self.held_per_output(make(np.random.default_rng(1)), (8, 32, 20, 20))
         assert ratio <= bound, ratio
 
+    # the scan keeps softplus's recipe for delta, not the array, and a conv
+    # over a concat, shuffled concat, upsample or slice of norm outputs keeps
+    # their recipes: measured 25.9x (33.9x when the scan held delta), 20.1x
+    # (24.6x) and 5.59x (6.58x when EcaCsp's merge was held)
+    @pytest.mark.parametrize("make,bound", [
+        (lambda rng: Vss(rng, 32), 27.5),
+        (lambda rng: SimVss(rng, 32), 21.5),
+        (lambda rng: EcaCsp(rng, 32, 32), 5.9),
+    ], ids=["vss", "simvss", "eca_csp"])
+    def test_recipes_replace_delta_and_merge_copies(self, make, bound):
+        ratio = self.held_per_output(make(np.random.default_rng(1)), (8, 32, 20, 20))
+        assert ratio <= bound, ratio
+
 
 def _chain(*units):
     def forward(x):

@@ -133,7 +133,12 @@ def test_bad_config_exits_1(tmp_path, capsys):
     ("", ["check-shapes", "--seed", "-1"], "seed -1 must be >= 0"),
     # rejected before the (missing) data directory is read
     ("momentum = 2\n", ["train-toy", "--data", "missing"], "momentum 2.0 must be in [0, 1)"),
-], ids=["num-classes-0", "seed-1", "momentum-2"])
+    ("width_override = inf\n", ["param-count"],
+     "width_override inf must be finite and >= 0 (0 keeps the scale's own)"),
+    ("depth_override = -1\n", ["param-count"],
+     "depth_override -1.0 must be finite and >= 0 (0 keeps the scale's own)"),
+    ("lr_final = -0.5\n", ["train-toy", "--data", "missing"], "lr_final -0.5 must be >= 0"),
+], ids=["num-classes-0", "seed-1", "momentum-2", "width-inf", "depth-negative", "lr-final-negative"])
 def test_bad_config_value_exits_1_with_one_error_line(tmp_path, capsys, config, argv, want):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
@@ -271,9 +276,12 @@ def test_train_toy_rejects_out_of_range_class_ids(tmp_path, capsys, bad_class):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     err = captured.err.splitlines()
+    if bad_class == "negative":
+        # load_annotations rejects a class id below 0, naming its line
+        assert err == [f"train-toy error: {annotations} line {last + 1}: class id -1 must be >= 0"]
+        return
     assert len(err) == 1 and err[0].startswith(f"train-toy error: dataset image {bad_image} has ")
-    want = "class id -1," if bad_class == "negative" else "outside [0, 3)"
-    assert want in err[0]
+    assert "outside [0, 3)" in err[0]
 
 
 def test_train_toy_zero_epochs_summary_has_no_losses(tmp_path, capsys):
@@ -313,7 +321,35 @@ def test_infer_multithreaded_matches_single(tmp_path):
         (run_dir_b / "detections.txt").read_text()
 
 
-@pytest.mark.parametrize("bad", ["checkpoint", "image", "manifest", "non-ascii"])
+# one bad value in a document that is otherwise valid: (detection line, annotation box line)
+@pytest.mark.parametrize("det,box,want", [
+    ("det 0 nan 1 2 3 4", "box 0 1 2 3 4", "dets.txt line 4: 'nan' is not a finite number"),
+    ("det 0 inf 1 2 3 4", "box 0 1 2 3 4", "dets.txt line 4: 'inf' is not a finite number"),
+    ("det 0 0.5 1 2 3 4", "box -2 1 2 3 4", "ann.txt line 4: class id -2 must be >= 0"),
+    ("det 0 0.5 1 2 3 4", "box 0 nan 2 3 4", "ann.txt line 4: 'nan' is not a finite number"),
+    ("det 0 0.5 1 2 3 4", "box 0 3 4 1 2",
+     "ann.txt line 4: box (3.0, 4.0, 1.0, 2.0) must have x1 <= x2 and y1 <= y2"),
+], ids=["nan-score", "inf-score", "negative-class", "nan-box", "reversed-box"])
+def test_eval_map_rejects_invalid_values_with_one_error_line(tmp_path, capsys, det, box, want):
+    dets, ann = tmp_path / "dets.txt", tmp_path / "ann.txt"
+    dets.write_text(f"version 1\ncount 1\nimage a.ppm 1\n{det}\n")
+    ann.write_text(f"version 1\ncount 1\nimage a.ppm 16 16 1\n{box}\n")
+    assert main(["eval-map", "--detections", str(dets), "--annotations", str(ann)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"eval-map error: {tmp_path / want}"]
+
+
+def test_eval_map_rejects_negative_image_height(tmp_path, capsys):
+    dets, ann = tmp_path / "dets.txt", tmp_path / "ann.txt"
+    dets.write_text("version 1\ncount 1\nimage a.ppm 1\ndet 0 0.5 1 2 3 4\n")
+    ann.write_text("version 1\ncount 1\nimage a.ppm -5 16 1\nbox 0 1 2 3 4\n")
+    assert main(["eval-map", "--detections", str(dets), "--annotations", str(ann)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"eval-map error: {ann} line 3: image size -5x16 (height x width) must be at least 1x1"]
+
+
+@pytest.mark.parametrize("bad", ["checkpoint", "image", "manifest", "non-ascii", "header-comment"])
 def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
     from ssmdet.model import Detector, get_scale
 
@@ -324,7 +360,7 @@ def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
         image.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
     else:
         Detector(get_scale("n", 3, width_override=0.125)).save_checkpoint(ckpt)
-        image.write_bytes(b"P6\n0 0\n255\n")
+        image.write_bytes(b"P6\n0 0\n255\n" if bad == "image" else b"P6\n# no line end")
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(f"input_size = 64\nout_dir = {tmp_path / 'run'}\n")
     assert main(["infer", "--config", str(cfg), "--checkpoint", str(ckpt),
@@ -333,5 +369,6 @@ def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
     want = {"checkpoint": "unsupported checkpoint version ''",
             "image": "image size 0x0 must be at least 1x1",
             "manifest": "malformed checkpoint manifest line 2: 'garbage'",
-            "non-ascii": "malformed checkpoint manifest line 2: 'meta n \ufffd'"}[bad]
+            "non-ascii": "malformed checkpoint manifest line 2: 'meta n \ufffd'",
+            "header-comment": f"load_ppm: {image}: truncated header"}[bad]
     assert len(err) == 1 and err[0].startswith("infer error: ") and want in err[0]

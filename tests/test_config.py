@@ -115,3 +115,33 @@ def test_momentum_zero_accepted(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("momentum = 0\n")
     assert load_config(path).momentum == 0.0
+
+
+@pytest.mark.parametrize("key", ["width_override", "depth_override"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-0.5"])
+def test_scale_override_not_finite_or_negative_rejected(tmp_path, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^{key} \S+ must be finite and >= 0 "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key", ["width_override", "depth_override"])
+def test_scale_override_zero_keeps_the_scale(tmp_path, key):
+    path = tmp_path / "ok.cfg"
+    path.write_text(f"{key} = 0\n")
+    assert getattr(load_config(path), key) == 0.0
+
+
+@pytest.mark.parametrize("value", ["-0.5", "-1e-9"])
+def test_negative_lr_final_rejected(tmp_path, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"lr_final = {value}\n")
+    with pytest.raises(ConfigError, match=r"^lr_final \S+ must be >= 0$"):
+        load_config(path)
+
+
+def test_zero_lr_final_accepted(tmp_path):
+    path = tmp_path / "ok.cfg"
+    path.write_text("lr_final = 0\n")
+    assert load_config(path).lr_final == 0.0

@@ -48,6 +48,13 @@ class TestPpm:
         with pytest.raises(ValueError, match="at least 1x1"):
             D.load_ppm(path)
 
+    @pytest.mark.parametrize("header", [b"P6\n# a comment", b"P6 4 4 #", b"P6\n4 # four\n4 #"])
+    def test_comment_running_to_the_end_is_a_truncated_header(self, tmp_path, header):
+        path = tmp_path / "cut.ppm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=f"^load_ppm: {path}: truncated header$"):
+            D.load_ppm(path)
+
     def test_truncated_pixels_rejected(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + b"\x00" * 10)
@@ -168,6 +175,53 @@ class TestDocuments:
         with pytest.raises(ValueError, match="line 4: expected a 7-field det line"):
             D.load_detections(path)
 
+    # each bad value, on line 4 of a document that is otherwise valid
+    @pytest.mark.parametrize("line,want", [
+        ("det 0 nan 1 2 3 4", "'nan' is not a finite number"),
+        ("det 0 inf 1 2 3 4", "'inf' is not a finite number"),
+        ("det 0 -inf 1 2 3 4", "'-inf' is not a finite number"),
+        ("det 0 1.5 1 2 3 4", "score 1.5 must be in [0, 1]"),
+        ("det 0 -0.25 1 2 3 4", "score -0.25 must be in [0, 1]"),
+        ("det -1 0.5 1 2 3 4", "class id -1 must be >= 0"),
+        ("det 0 0.5 1 2 inf 4", "'inf' is not a finite number"),
+        ("det 0 0.5 3 2 1 4", "box (3.0, 2.0, 1.0, 4.0) must have x1 <= x2 and y1 <= y2"),
+        ("det 0 0.5 1 4 3 2", "box (1.0, 4.0, 3.0, 2.0) must have x1 <= x2 and y1 <= y2"),
+        ("det 0.5 0.5 1 2 3 4", "invalid literal for int()"),
+    ], ids=lambda v: v if v.startswith("det") else "")
+    def test_invalid_detection_rejected_naming_file_and_line(self, tmp_path, line, want):
+        path = tmp_path / "dets.txt"
+        path.write_text(f"version 1\ncount 1\nimage a.ppm 1\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            D.load_detections(path)
+        assert str(err.value).startswith(f"{path} line 4: ") and want in str(err.value)
+
+    @pytest.mark.parametrize("image,box,line,want", [
+        ("16 16", "box -2 1 2 3 4", 4, "class id -2 must be >= 0"),
+        ("16 16", "box 0 nan 2 3 4", 4, "'nan' is not a finite number"),
+        ("16 16", "box 0 1 2 3 -inf", 4, "'-inf' is not a finite number"),
+        ("16 16", "box 0 3 4 1 2", 4, "box (3.0, 4.0, 1.0, 2.0) must have x1 <= x2 and y1 <= y2"),
+        ("-5 16", "box 0 1 2 3 4", 3, "image size -5x16 (height x width) must be at least 1x1"),
+        ("16 0", "box 0 1 2 3 4", 3, "image size 16x0 (height x width) must be at least 1x1"),
+    ], ids=["class-below-0", "nan-coordinate", "inf-coordinate", "reversed-box",
+            "negative-height", "zero-width"])
+    def test_invalid_annotation_rejected_naming_file_and_line(self, tmp_path, image, box, line,
+                                                              want):
+        path = tmp_path / "ann.txt"
+        path.write_text(f"version 1\ncount 1\nimage a.ppm {image} 1\n{box}\n")
+        with pytest.raises(ValueError) as err:
+            D.load_annotations(path)
+        assert str(err.value) == f"{path} line {line}: {want}"
+
+    def test_degenerate_boxes_and_edge_scores_accepted(self, tmp_path):
+        # clamping to the frame makes zero-width and zero-height boxes
+        path = tmp_path / "dets.txt"
+        path.write_text("version 1\ncount 1\nimage a.ppm 2\n"
+                        "det 0 0.0 1 2 1 4\ndet 3 1.0 1 2 3 2\n")
+        assert D.load_detections(path) == {"a.ppm": [Detection((1.0, 2.0, 1.0, 4.0), 0.0, 0),
+                                                     Detection((1.0, 2.0, 3.0, 2.0), 1.0, 3)]}
+        path.write_text("version 1\ncount 1\nimage a.ppm 1 1 1\nbox 0 5 5 5 5\n")
+        assert D.load_annotations(path) == [D.AnnotatedImage("a.ppm", 1, 1, [(0, (5.0,) * 4)])]
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("version 2\ncount 0\n")
@@ -207,12 +261,14 @@ def test_line_holding_a_line_separator_is_one_line(tmp_path, loader, brk):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 # one line of text: printable ASCII, spaces included
 _name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), min_size=1, max_size=12)
+# a valid box: finite corners with x1 <= x2 and y1 <= y2, degenerate ones included
+_box = st.tuples(_finite, _finite, _finite, _finite).map(
+    lambda b: (min(b[0], b[2]), min(b[1], b[3]), max(b[0], b[2]), max(b[1], b[3])))
 _annotated = st.builds(
-    D.AnnotatedImage, path=_name, height=st.integers(0, 4096), width=st.integers(0, 4096),
-    boxes=st.lists(st.tuples(st.integers(0, 99), st.tuples(_finite, _finite, _finite, _finite)),
-                   max_size=3))
-_detection = st.builds(Detection, box=st.tuples(_finite, _finite, _finite, _finite),
-                       score=_finite, class_id=st.integers(0, 99))
+    D.AnnotatedImage, path=_name, height=st.integers(1, 4096), width=st.integers(1, 4096),
+    boxes=st.lists(st.tuples(st.integers(0, 99), _box), max_size=3))
+_detection = st.builds(Detection, box=_box, score=st.floats(0.0, 1.0),
+                       class_id=st.integers(0, 99))
 
 
 @pytest.fixture(scope="module")

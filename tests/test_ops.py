@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from oracles import (batch_norm_primitives, conv1d, conv1d_loops, conv2d_grad_loops, conv2d_loops,
                      eca_attention_chain, layer_norm_primitives, shuffle_concat_primitives)
 from ssmdet import ops
+from ssmdet import tensor as T
 from ssmdet.blocks import BatchNorm, EcaConv
 from ssmdet.gradcheck import grad_check
+from ssmdet.ssm import ssm_scan
 from ssmdet.tensor import ShapeError, Tape, Tensor, inference
 
 
@@ -615,6 +617,133 @@ class TestRebuiltNormOutput:
         assert run().rebuild is None
         with inference():
             assert run().rebuild is None
+
+
+RECIPE_PRODUCERS = ["linear", "linear-flip", "softplus", "concat", "shuffle-concat", "upsample",
+                    "slice"]
+
+
+def _recipe_producer(kind, rng, dtype):
+    """An op of ``kind`` that gives a recorded output a recipe, on fresh
+    gradient-requiring inputs: (run, inputs, consume). ``run()`` applies the
+    op; ``consume(y)`` is (an output, its weights) of an op that keeps ``y``'s
+    values as ``kept_values`` gives them: a softplus over a linear, the
+    scan's delta over a softplus, a 3x3 conv over a feature map."""
+    def t(*shape, scale=1.0):
+        return Tensor(rng.standard_normal(shape) * scale, dtype=dtype, requires_grad=True)
+
+    if kind in ("linear", "linear-flip", "softplus"):
+        x, w, b = t(2, 7, 6), t(6, 6), t(6)
+
+        def run():
+            y = ops.linear(T.flip(x, 1) if kind == "linear-flip" else x, w, b)
+            return ops.softplus(y) if kind == "softplus" else y
+
+        if kind != "softplus":
+            return run, [x, w, b], lambda y: (ops.softplus(y), [])
+        seq, a, bs, ps, q = t(2, 7, 6), t(6, 4), t(2, 7, 4), t(2, 7, 4), t(6)
+        a.data[...] = -np.abs(a.data)
+        return run, [x, w, b], lambda y: (ssm_scan(seq, y, a, bs, ps, q, block_len=3),
+                                          [seq, a, bs, ps, q])
+    x1, x2, gain, shift = t(2, 4, 5, 3, scale=2.0), t(2, 4, 5, 3), t(4), t(4)
+    stats = np.zeros(4, dtype), np.ones(4, dtype)
+
+    def norm():
+        return ops.batch_norm(x1, gain, shift, *stats, training=True, silu=True)
+
+    run = {"concat": lambda: ops.concat_channels([norm(), x2 * 1.0]),
+           "shuffle-concat": lambda: ops.shuffle_concat([x2 * 1.0, norm()], 4),
+           "upsample": lambda: ops.upsample_nearest(norm()),
+           "slice": lambda: norm()[:, 1:3, 1:]}[kind]
+
+    def consume(y):
+        w = Tensor(np.random.default_rng(11).standard_normal((3, y.shape[1], 3, 3)), dtype=dtype,
+                   requires_grad=True)
+        return ops.conv2d(y, w, padding=1), [w]
+
+    joined = [x2] if kind in ("concat", "shuffle-concat") else []
+    return run, [x1, gain, shift] + joined, consume
+
+
+class TestProducerRecipes:
+    """A linear, a softplus over a recipe, a concat, a shuffled concat, an
+    upsample and a slice of a recipe give their recorded outputs a recipe;
+    a consumer that keeps it holds no copy of the output."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", RECIPE_PRODUCERS)
+    def test_rebuild_is_the_output_to_the_bit(self, kind, dtype):
+        run, _, _ = _recipe_producer(kind, np.random.default_rng(3), dtype)
+        with Tape():
+            y = run()
+        assert y.rebuild is not None
+        for _ in range(2):      # a second reader gets the same values
+            rebuilt = y.rebuild()
+            assert rebuilt.dtype == dtype and rebuilt.tobytes() == y.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", RECIPE_PRODUCERS)
+    def test_consumer_gradients_match_the_kept_array(self, kind, dtype):
+        runs = []
+        for recipe in (True, False):
+            rng = np.random.default_rng(5)
+            run, inputs, consume = _recipe_producer(kind, rng, dtype)
+            with Tape() as tape:
+                y = run()
+                if not recipe:
+                    y.rebuild = None
+                out, weights = consume(y)
+                probe = np.random.default_rng(6).standard_normal(out.shape).astype(dtype)
+                loss = (out * probe).sum()
+            tape.backward(loss)
+            runs.append([out.data] + [t.grad for t in inputs + weights])
+        for got, want in zip(*runs):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", RECIPE_PRODUCERS)
+    def test_output_freed_when_forward_drops_it(self, kind):
+        run, inputs, consume = _recipe_producer(kind, np.random.default_rng(6), np.float32)
+        with Tape() as tape:
+            y = run()
+            freed = weakref.ref(y.data)
+            out, weights = consume(y)
+            del y
+            assert freed() is None
+            loss = out.sum()
+        tape.backward(loss)
+        assert all(t.grad is not None for t in inputs + weights)
+
+    @pytest.mark.parametrize("kind", RECIPE_PRODUCERS)
+    def test_no_recipe_without_a_tape_or_inside_inference(self, kind):
+        run, _, _ = _recipe_producer(kind, np.random.default_rng(7), np.float32)
+        assert run().rebuild is None
+        with inference():
+            assert run().rebuild is None
+
+    def test_no_recipe_from_an_input_without_one(self):
+        # softplus keeps its output and a slice its copy: their inputs have no recipe
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape():
+            assert ops.softplus(x * 2.0).rebuild is None
+            assert (x * 2.0)[:, 1:].rebuild is None
+
+    def test_softplus_rule_pops_what_the_rebuild_left(self):
+        # the scan's rule rebuilds delta, softplus's rule takes that array
+        # and drops it: one softplus per backward, nothing held after it
+        rng = np.random.default_rng(8)
+        x, w = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, 3), (3, 3)))
+        calls = []
+        with Tape() as tape:
+            y = ops.linear(x, w)
+            rebuild = y.rebuild
+            y.rebuild = lambda: calls.append(1) or rebuild()
+            delta = ops.softplus(y)
+            kept = delta.rebuild
+            loss = (delta * 3.0).sum()
+        first = kept()
+        assert kept() is first and calls == [1]
+        tape.backward(loss)
+        assert calls == [1] and kept() is not first and calls == [1, 1]
 
 
 class TestActivations:

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import zoh_elementwise
+from ssmdet import ops
 from ssmdet.gradcheck import grad_check
 from ssmdet.ssm import (
     SSMParams,
@@ -287,6 +289,38 @@ class TestTapedScan:
                 tracemalloc.stop()
             assert len(tape) == 1
             assert held <= 3 * y.data.nbytes, (bt, length, d, held, y.data.nbytes)
+
+    def test_softplus_delta_freed_and_rebuilt_once(self):
+        # delta made as Vss makes it, softplus(dt_low @ dt_w.T + dt_b): the scan
+        # keeps softplus's recipe, so delta's array goes when the forward drops
+        # it, and backward derives it once, which softplus's rule then takes
+        rng = np.random.default_rng(19)
+        bt, length, d, n, r = 2, 12, 8, 4, 2
+        x, dt_low, b_seq, p_seq = (Tensor(rng.standard_normal(s), requires_grad=True) for s in
+                                   ((bt, length, d), (bt, length, r), (bt, length, n),
+                                    (bt, length, n)))
+        dt_w, dt_b, q = (Tensor(rng.standard_normal(s), requires_grad=True) for s in
+                         ((d, r), (d,), (d,)))
+        a_diag = Tensor(rng.uniform(-2.0, -0.1, (d, n)), requires_grad=True)
+        grads = []
+        for drop in (True, False):
+            for t in (x, dt_low, b_seq, p_seq, dt_w, dt_b, q, a_diag):
+                t.grad = None
+            with Tape() as tape:
+                delta = ops.softplus(ops.linear(dt_low, dt_w, dt_b))
+                freed = weakref.ref(delta.data)
+                if not drop:
+                    delta.rebuild = None
+                    kept = delta
+                y = ssm_scan(x, delta, a_diag, b_seq, p_seq, q, block_len=5)
+                del delta
+                assert (freed() is None) == drop
+                loss = (y * y).sum()
+            tape.backward(loss)
+            grads.append([t.grad for t in (x, dt_low, b_seq, p_seq, dt_w, dt_b, q, a_diag)])
+        del kept
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_identical_for_every_block_len(self, dtype):
