@@ -41,8 +41,8 @@ __all__ = [
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint lacks a meta line, or its tensor names differ from the
-    model's state names."""
+    """A checkpoint lacks a meta line, has a meta value that does not parse,
+    or its tensor names differ from the model's state names."""
 
 
 # Width/depth multipliers per scale over the base channels and depths; the
@@ -75,8 +75,13 @@ class ScaleSpec:
     num_classes: int = 3
 
     def __post_init__(self):
-        if self.width <= 0 or self.depth <= 0:
-            raise ValueError("scale multipliers must be positive")
+        if self.name not in _SCALE_TABLE:
+            raise ValueError(f"unknown scale {self.name!r}; expected one of {sorted(_SCALE_TABLE)}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.width, self.depth)):
+            raise ValueError(f"scale width {self.width} and depth {self.depth} must be finite "
+                             "and positive")
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes {self.num_classes} must be >= 1")
 
     def channels(self) -> tuple:
         return tuple(_even(self.width * c) for c in _BASE_CHANNELS)
@@ -317,13 +322,14 @@ class Detector(Module):
         missing = [k for k in ("scale", "width", "depth", "num_classes") if k not in meta]
         if missing:
             raise CheckpointMismatch(f"checkpoint has no meta lines {missing}")
-        spec = ScaleSpec(
-            name=meta["scale"],
-            width=float(meta["width"]),
-            depth=float(meta["depth"]),
-            num_classes=int(meta["num_classes"]),
-        )
-        model = cls(spec)
+        fields = {}
+        for key, parse in (("width", float), ("depth", float), ("num_classes", int)):
+            try:
+                fields[key] = parse(meta[key])
+            except ValueError:
+                raise CheckpointMismatch(f"checkpoint meta {key} {meta[key]!r} does not parse "
+                                         f"as {parse.__name__}") from None
+        model = cls(ScaleSpec(meta["scale"], **fields))
         model.load_state(tensors)
         return model
 

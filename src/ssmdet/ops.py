@@ -23,15 +23,13 @@ form, from the same two sums as its gain and shift gradients. Batch norm
 can end in a SiLU inside that op, and layer norm in a SiLU gate
 (``norm(x) * silu(gate)``, which also keeps the gate): their backwards
 derive the sigmoid again from the normalized input or the gate instead
-of holding it. Under a tape a norm's output can be rebuilt from what its
-op keeps, and a conv that reads it keeps that recipe instead of the
-array; a SiLU's rebuild leaves its sigmoid and output for the norm's
-rule, which pops them instead of deriving them again. Recipes also run
-through a linear (from the input it keeps for its weight gradient), a
-softplus over a recipe (which keeps that recipe, not its output, and
-pops what a rebuild leaves, as the SiLU does), the concats, the
-upsample and a slice of a recipe, so the scan's delta and the merges
-that only a conv's weight gradient reads are rebuilt in backward, not held.
+of holding it. The ops that leave a recipe on a recorded output (the
+rule is in :mod:`ssmdet.tensor`) are the norms, :func:`linear` (from the
+input it keeps for its weight gradient), :func:`softplus` over an input
+with a recipe, and, over such an input, the layout ops
+:func:`concat_channels`, :func:`shuffle_concat`, :func:`upsample_nearest`
+and a slice. So the scan's delta and the merges that only a conv's
+weight gradient reads are rebuilt in backward, not held.
 
 Each rule's "keeps" note names what it holds for backward besides its
 inputs' gradient slots (see :mod:`ssmdet.tensor`).
@@ -41,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (ShapeError, Tensor, _zeros_like_later, accumulate, concat, elementwise,
-                     kept_values, make_op, recording)
+from .tensor import (ShapeError, Tensor, _check_same_dtype, _left_for_rule, _zeros_like_later,
+                     accumulate, elementwise, kept_values, layout_op, make_op, recording, with_recipe)
 
 __all__ = [
     "batch_norm",
@@ -108,24 +106,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _left_for_rule(make):
-    """``(rebuild, take)`` over ``make()``, whose result an op's rule also reads.
-
-    ``rebuild()`` computes the result on its first call and returns that same
-    result to every later reader; ``take()`` hands it to the rule and drops
-    it, or computes it when no reader rebuilt it. The result is held from
-    the first rebuild (a consumer's rule) until the op's own rule.
-    """
-    left = []
-
-    def rebuild():
-        if not left:
-            left.append(make())
-        return left[0]
-
-    return rebuild, lambda: left.pop() if left else make()
-
-
 def softplus(x: Tensor) -> Tensor:
     """out = log(1 + e^x). Keeps: ``x``'s recipe where it has one, else its output.
 
@@ -142,10 +122,7 @@ def softplus(x: Tensor) -> Tensor:
         return elementwise(x, None, out, lambda g: g * -np.expm1(-out))
     values = x.rebuild
     rebuild, take = _left_for_rule(lambda: _softplus(values()))
-    y = elementwise(x, None, out, lambda g: g * -np.expm1(-take()))
-    if y.requires_grad:
-        y.rebuild = rebuild
-    return y
+    return with_recipe(elementwise(x, None, out, lambda g: g * -np.expm1(-take())), rebuild)
 
 
 # ---- convolution ----------------------------------------------------------
@@ -370,10 +347,8 @@ def _normalize(x: Tensor, xc: np.ndarray, rstd: np.ndarray, gain: Tensor, shift:
             gx *= gain4 * rstd
             accumulate(xs, gx)
 
-    out = make_op(output(), rule, x, gain, shift, gate)
-    if out.requires_grad:   # recorded: a consumer may keep the recipe instead of the array
-        out.rebuild = (lambda: shared_pair()[1]) if silu else output
-    return out
+    return with_recipe(make_op(output(), rule, x, gain, shift, gate),
+                       (lambda: shared_pair()[1]) if silu else output)
 
 
 def batch_norm(x: Tensor, gain: Tensor, shift: Tensor, running_mean: np.ndarray,
@@ -437,9 +412,8 @@ def shuffle_concat(parts, groups: int) -> Tensor:
     C/groups), transpose and flatten, so group members interleave; shuffling
     with C/groups groups inverts it. Each part is written straight into its
     shuffled channels, and backward gives each part its own channels of the
-    gradient. Keeps: the parts' slots and the channel positions. A recorded
-    output's recipe joins what :func:`~ssmdet.tensor.kept_values` gives of
-    each part the same way, so a conv that reads the output holds no copy.
+    gradient. A :func:`~ssmdet.tensor.layout_op`. Keeps: the parts' slots
+    and the channel positions.
     """
     parts = list(parts)
     if not parts:
@@ -454,7 +428,7 @@ def shuffle_concat(parts, groups: int) -> Tensor:
     dest = _shuffled_positions(int(offsets[-1]), groups)
     shape, dtype = first.shape[:1] + (int(offsets[-1]),) + first.shape[2:], first.dtype
 
-    def join(values):
+    def join(*values):
         out = np.empty(shape, dtype)
         for v, lo, hi in zip(values, offsets[:-1], offsets[1:]):
             out[:, dest[lo:hi]] = v
@@ -467,11 +441,7 @@ def shuffle_concat(parts, groups: int) -> Tensor:
         for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
             accumulate(slot, g[:, lo:hi])
 
-    out = make_op(join([p.data for p in parts]), rule, *parts)
-    if out.requires_grad:
-        kept = [kept_values(p) for p in parts]
-        out.rebuild = lambda: join([v() for v in kept])
-    return out
+    return layout_op(join, rule, *parts)
 
 
 def channel_shuffle(x: Tensor, groups: int) -> Tensor:
@@ -491,14 +461,27 @@ def split_channels(x: Tensor, sizes) -> list[Tensor]:
 
 
 def concat_channels(parts) -> Tensor:
-    return concat(parts, axis=1)
+    """Join ``parts`` along the channel axis (axis 1), a
+    :func:`~ssmdet.tensor.layout_op`. Keeps: the parts' slots and offsets."""
+    parts = list(parts)
+    if not parts:
+        raise ShapeError("concat_channels of zero tensors")
+    for p in parts[1:]:
+        _check_same_dtype(parts[0], p)
+    slots = [p.slot for p in parts]
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+
+    def rule(g):
+        for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+            accumulate(slot, g[:, lo:hi])
+
+    return layout_op(lambda *arrays: np.concatenate(arrays, axis=1), rule, *parts)
 
 
 def upsample_nearest(x: Tensor) -> Tensor:
     """Double the height and width of a [n, c, h, w] map by repeating each cell.
 
-    Keeps: the input's shape. A recorded output's recipe repeats what
-    :func:`~ssmdet.tensor.kept_values` gives of the input.
+    A :func:`~ssmdet.tensor.layout_op`. Keeps: the input's shape.
     """
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest: input must be 4D, got {x.shape}")
@@ -508,11 +491,7 @@ def upsample_nearest(x: Tensor) -> Tensor:
     def rule(g):
         accumulate(slot, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    out = make_op(x.data.repeat(2, axis=2).repeat(2, axis=3), rule, x)
-    if out.requires_grad:
-        values = kept_values(x)
-        out.rebuild = lambda: values().repeat(2, axis=2).repeat(2, axis=3)
-    return out
+    return layout_op(lambda a: a.repeat(2, axis=2).repeat(2, axis=3), rule, x)
 
 
 # ---- channel attention ----------------------------------------------------
@@ -631,6 +610,4 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
             accumulate(xs, g @ wv)
 
     y = make_op(out, rule, x, w, bias)
-    if xv is not None and y.requires_grad:
-        y.rebuild = lambda: _affine(xv, wd, bd)
-    return y
+    return y if xv is None else with_recipe(y, lambda: _affine(xv, wd, bd))

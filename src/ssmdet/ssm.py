@@ -26,10 +26,10 @@ depend on the chunking, so every chunk length gives the same outputs.
 its chunk length from the input's shape so that one buffer stays within
 256 KiB. Under a tape it keeps only each chunk's start state; backward
 re-runs a chunk's recurrence from it (Mamba's recomputation) before
-stepping that chunk's adjoint. It keeps delta as its recipe where delta
-has one (a softplus over the low-rank dt projection, in the vision
-blocks), and backward derives delta from it once, as Mamba's fused
-kernel recomputes delta.
+stepping that chunk's adjoint. It keeps delta's recipe (the softplus's
+over the low-rank dt projection, in the vision blocks; the rule is in
+:mod:`ssmdet.tensor`), and backward derives delta from it once, as
+Mamba's fused kernel recomputes delta. Its output has no recipe.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def ssm_scan(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, P: Tensor, Q: Tenso
         raise ShapeError(f"ssm_scan: block_len {block_len} must be >= 1")
     xd, bd, pd, qd = x.data, B.data, P.data, Q.data
     a_t = _states_first(A.data)
-    keep = T.active_tape() is not None and any(t.requires_grad for t in (x, delta, A, B, P, Q))
+    keep = T.recording(x, delta, A, B, P, Q)
     starts = np.empty((-(-length // block_len), bt, n, d), dtype=xd.dtype) if keep else None
 
     def discretizer(dd):

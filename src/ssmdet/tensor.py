@@ -8,16 +8,20 @@ operation appends one ``(output slot, backward_rule)`` node to the active
 :class:`Tape`. A rule holds its inputs' slots and only the arrays its
 backward reads, each op naming them in a "keeps" note; so an op output
 that no backward reads is freed as soon as the forward drops its tensor,
-not when backward runs. An op whose rule keeps enough to recompute its
-output can leave a recipe for it on the output (``Tensor.rebuild``); a
-consumer that reads the output in backward keeps what :func:`kept_values`
-gives, that recipe where there is one, so the output's array is not held
-a second time. A layout op's recipe (:func:`concat`, a slice of an
-output that has one) is built from its inputs' :func:`kept_values`. Because the recording order is an execution order,
-replaying the rules in reverse is a valid reverse-topological walk:
-each node fires exactly once, and gradients of fanned-out tensors
+not when backward runs. Because the recording order is an execution
+order, replaying the rules in reverse is a valid reverse-topological
+walk: each node fires exactly once, and gradients of fanned-out tensors
 accumulate additively. Backward consumes the tape: each node is dropped,
 with its output's gradient, as it fires.
+
+Recipes: :func:`with_recipe` gives a recorded op output a recipe
+(``Tensor.rebuild``) that recomputes it bit for bit from what the op's
+rule keeps, and a consumer keeps what :func:`kept_values` gives, that
+recipe where there is one, so the array is not held twice. A
+:func:`layout_op` is one function of its inputs' arrays; its recorded
+output gets that function over their :func:`kept_values` as its recipe
+where an input has one, else none. A rule that reads its own output
+again takes the first rebuild's result (:func:`_left_for_rule`).
 
 Forward evaluation with no active tape records nothing. Inside
 :func:`inference`, batch norm uses its running statistics whatever the
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,15 +45,16 @@ __all__ = [
     "Tensor",
     "accumulate",
     "backward",
-    "concat",
     "elementwise",
     "exp",
     "flip",
     "kept_values",
+    "layout_op",
     "make_op",
     "maximum",
     "minimum",
     "recording",
+    "with_recipe",
 ]
 
 
@@ -177,6 +182,42 @@ def kept_values(t: "Tensor") -> Callable[[], np.ndarray]:
     return lambda: data
 
 
+def with_recipe(out: "Tensor", rebuild: Callable[[], np.ndarray]) -> "Tensor":
+    """Give ``out`` the recipe ``rebuild`` if it was recorded; return ``out``."""
+    if out.requires_grad:
+        out.rebuild = rebuild
+    return out
+
+
+def layout_op(fn: Callable[..., np.ndarray], rule: Callable, *inputs: "Tensor") -> "Tensor":
+    """``make_op(fn(*arrays), rule, *inputs)`` over the inputs' arrays. Where
+    an input has a recipe, a recorded output gets the recipe ``fn`` over
+    the inputs' :func:`kept_values`, so forward and recipe are one function."""
+    out = make_op(fn(*[t.data for t in inputs]), rule, *inputs)
+    if any(t.rebuild is not None for t in inputs):
+        values = [kept_values(t) for t in inputs]
+        with_recipe(out, lambda: fn(*[v() for v in values]))
+    return out
+
+
+def _left_for_rule(make):
+    """``(rebuild, take)`` over ``make()``, whose result an op's rule also reads.
+
+    ``rebuild()`` computes the result on its first call and returns that same
+    result to every later reader; ``take()`` hands it to the rule and drops
+    it, or computes it when no reader rebuilt it. The result is held from
+    the first rebuild (a consumer's rule) until the op's own rule.
+    """
+    left = []
+
+    def rebuild():
+        if not left:
+            left.append(make())
+        return left[0]
+
+    return rebuild, lambda: left.pop() if left else make()
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to ``shape`` after forward broadcasting."""
     if g.shape == shape:
@@ -279,8 +320,8 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.slot = GradSlot(requires_grad)
-        # set only on a recorded op output: a function that recomputes ``data``
-        # bit for bit from arrays the op's rule keeps anyway
+        # set only by ``with_recipe``, on a recorded op output: a function that
+        # recomputes ``data`` bit for bit from arrays the op's rule keeps anyway
         self.rebuild: Callable[[], np.ndarray] | None = None
 
     @property
@@ -378,20 +419,16 @@ class Tensor:
         return make_op(self.data.transpose(axes), lambda g: accumulate(slot, g.transpose(inv)), self)
 
     def __getitem__(self, key):
-        """A copy of a basic slice. Keeps: the input's slot and layout. The
-        slice of an input that has a recipe gets the recipe ``rebuild()[key]``."""
+        """A copy of a basic slice, a :func:`layout_op`. Keeps: the input's slot and layout."""
         _validate_basic_key(key)
-        slot, zeros, whole = self.slot, _zeros_like_later(self.data), self.rebuild
+        slot, zeros = self.slot, _zeros_like_later(self.data)
 
         def rule(g):
             gx = zeros()
             gx[key] += g
             accumulate(slot, gx)
 
-        out = make_op(self.data[key].copy(), rule, self)
-        if whole is not None and out.requires_grad:
-            out.rebuild = lambda: whole()[key].copy()
-        return out
+        return layout_op(lambda a: a[key].copy(), rule, self)
 
 
 def _validate_basic_key(key) -> None:
@@ -428,31 +465,3 @@ def flip(x: Tensor, axis: int) -> Tensor:
     so a consumer that keeps it holds no second copy. Keeps: ``x``'s slot."""
     slot = x.slot
     return make_op(np.flip(x.data, axis=axis), lambda g: accumulate(slot, np.flip(g, axis=axis)), x)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join ``parts`` along ``axis``. Keeps: the parts' slots and offsets.
-
-    A recorded output's recipe joins what :func:`kept_values` gives of each
-    part, so a consumer that keeps it holds the parts' recipes or arrays,
-    never a joined copy.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    for p in parts[1:]:
-        _check_same_dtype(parts[0], p)
-    slots = [p.slot for p in parts]
-    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
-
-    def rule(g):
-        for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            accumulate(slot, g[tuple(idx)])
-
-    out = make_op(np.concatenate([p.data for p in parts], axis=axis), rule, *parts)
-    if out.requires_grad:
-        values = [kept_values(p) for p in parts]
-        out.rebuild = lambda: np.concatenate([v() for v in values], axis=axis)
-    return out

@@ -106,9 +106,11 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         # the manifest is ASCII; a line with any other character is malformed
         kind, _, rest = line.partition(" ") if line.isascii() else ("", "", "")
         fields = rest.split(" ", 1) if kind == "meta" else rest.rsplit(" ", 2)
-        if kind == "meta" and len(fields) == 2:
+        # a key or name given twice is malformed, not overwritten
+        if kind == "meta" and len(fields) == 2 and fields[0] not in meta:
             meta[fields[0]] = fields[1]
-        elif kind == "tensor" and len(fields) == 3 and all(f.isdigit() for f in fields[1:]):
+        elif kind == "tensor" and len(fields) == 3 and all(f.isdigit() for f in fields[1:]) \
+                and fields[0] not in tensors:
             name, offset, length = fields
             lo = base + int(offset)
             tensors[name] = tensor_from_bytes(raw[lo:lo + int(length)])

@@ -379,9 +379,9 @@ def layer_norm_primitives(x, gain, shift, eps=1e-5):
 def shuffle_concat_primitives(parts, groups):
     """Concat along the channels, then the group-transpose shuffle, as a chain
     of taped Tensor primitives (concat, reshape, transpose, reshape)."""
-    from ssmdet.tensor import concat
+    from ssmdet.ops import concat_channels
 
-    x = concat(parts, axis=1)
+    x = concat_channels(parts)
     n, c = x.shape[:2]
     rest = x.shape[2:]
     return x.reshape(n, groups, c // groups, *rest).transpose(

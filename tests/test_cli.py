@@ -349,7 +349,20 @@ def test_eval_map_rejects_negative_image_height(tmp_path, capsys):
         f"eval-map error: {ann} line 3: image size -5x16 (height x width) must be at least 1x1"]
 
 
-@pytest.mark.parametrize("bad", ["checkpoint", "image", "manifest", "non-ascii", "header-comment"])
+# a desk checkpoint with one meta line replaced: (line, replacement)
+_BAD_META = {
+    "width-inf": (b"meta width 0.125", b"meta width inf"),
+    "width-nan": (b"meta width 0.125", b"meta width nan"),
+    "width-text": (b"meta width 0.125", b"meta width wide"),
+    "depth-zero": (b"meta depth 0.33", b"meta depth 0.0"),
+    "classes-zero": (b"meta num_classes 3", b"meta num_classes 0"),
+    "classes-float": (b"meta num_classes 3", b"meta num_classes 3.5"),
+    "scale-unknown": (b"meta scale n", b"meta scale zz"),
+}
+
+
+@pytest.mark.parametrize("bad", ["checkpoint", "image", "manifest", "non-ascii", "header-comment",
+                                 *_BAD_META])
 def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
     from ssmdet.model import Detector, get_scale
 
@@ -357,10 +370,15 @@ def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
     if bad in ("checkpoint", "manifest", "non-ascii"):
         ckpt.write_bytes({"checkpoint": b"CKPT \nend\n", "manifest": b"CKPT 1\ngarbage\nend\n",
                           "non-ascii": b"CKPT 1\nmeta n \xff\nend\n"}[bad])
-        image.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
     else:
         Detector(get_scale("n", 3, width_override=0.125)).save_checkpoint(ckpt)
-        image.write_bytes(b"P6\n0 0\n255\n" if bad == "image" else b"P6\n# no line end")
+        if bad in _BAD_META:
+            line, replacement = _BAD_META[bad]
+            raw = ckpt.read_bytes()
+            assert raw.count(line + b"\n") == 1
+            ckpt.write_bytes(raw.replace(line + b"\n", replacement + b"\n"))
+    image.write_bytes({"image": b"P6\n0 0\n255\n", "header-comment": b"P6\n# no line end"}
+                      .get(bad, b"P6\n1 1\n255\n\x00\x00\x00"))
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(f"input_size = 64\nout_dir = {tmp_path / 'run'}\n")
     assert main(["infer", "--config", str(cfg), "--checkpoint", str(ckpt),
@@ -370,5 +388,12 @@ def test_infer_malformed_input_exits_1(tmp_path, capsys, bad):
             "image": "image size 0x0 must be at least 1x1",
             "manifest": "malformed checkpoint manifest line 2: 'garbage'",
             "non-ascii": "malformed checkpoint manifest line 2: 'meta n \ufffd'",
-            "header-comment": f"load_ppm: {image}: truncated header"}[bad]
+            "header-comment": f"load_ppm: {image}: truncated header",
+            "width-inf": "scale width inf and depth 0.33 must be finite and positive",
+            "width-nan": "scale width nan and depth 0.33 must be finite and positive",
+            "width-text": "checkpoint meta width 'wide' does not parse as float",
+            "depth-zero": "scale width 0.125 and depth 0.0 must be finite and positive",
+            "classes-zero": "num_classes 0 must be >= 1",
+            "classes-float": "checkpoint meta num_classes '3.5' does not parse as int",
+            "scale-unknown": "unknown scale 'zz'"}[bad]
     assert len(err) == 1 and err[0].startswith("infer error: ") and want in err[0]

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import decode_loops
 from ssmdet.blocks import Conv2dLayer, conv_flops
-from ssmdet.model import Detector, ScaleSpec, decode, get_scale
+from ssmdet.model import CheckpointMismatch, Detector, ScaleSpec, decode, get_scale
 from ssmdet.tensor import ShapeError, Tape, Tensor
 from ssmdet.train import detection_loss
 
@@ -66,6 +66,19 @@ class TestBuild:
             get_scale("x")
         with pytest.raises(ValueError):
             ScaleSpec("n", width=-1.0, depth=0.33)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"width": float("inf")}, "scale width inf and depth 0.33 must be finite and positive"),
+        ({"width": float("nan")}, "scale width nan and depth 0.33 must be"),
+        ({"depth": 0.0}, "scale width 0.125 and depth 0.0 must be"),
+        ({"depth": float("-inf")}, "depth -inf must be finite and positive"),
+        ({"num_classes": 0}, "num_classes 0 must be >= 1"),
+        ({"name": "zz"}, "unknown scale 'zz'"),
+    ], ids=["width-inf", "width-nan", "depth-zero", "depth-neg-inf", "classes-zero", "name"])
+    def test_scale_spec_rejects_bad_values(self, kwargs, match):
+        fields = {"name": "n", "width": 0.125, "depth": 0.33, "num_classes": 3, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            ScaleSpec(**fields)
 
 
 class TestForward:
@@ -386,6 +399,17 @@ class TestAccounting:
         assert "stage_channels" in text and "total_params" in text
 
 
+def _checkpoint_with_meta_line(tmp_path, model, line):
+    """A checkpoint of ``model`` whose meta line for ``line``'s key is ``line``."""
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path)
+    raw = path.read_bytes()
+    start = raw.index(b" ".join(line.split(b" ")[:2]) + b" ")
+    end = raw.index(b"\n", start)
+    path.write_bytes(raw[:start] + line + raw[end:])
+    return path
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path, toy_model):
         path = tmp_path / "model.ckpt"
@@ -399,6 +423,22 @@ class TestCheckpoint:
         _, maps_a = toy_model(x)
         _, maps_b = loaded.eval()(x)
         assert np.array_equal(maps_a[0][0].data, maps_b[0][0].data)
+
+    @pytest.mark.parametrize("line,error,want", [
+        (b"meta width wide", CheckpointMismatch,
+         "checkpoint meta width 'wide' does not parse as float"),
+        (b"meta depth 1/3", CheckpointMismatch,
+         "checkpoint meta depth '1/3' does not parse as float"),
+        (b"meta num_classes 3.5", CheckpointMismatch,
+         "checkpoint meta num_classes '3.5' does not parse as int"),
+        (b"meta width inf", ValueError, "scale width inf and depth 0.33 must be finite and positive"),
+        (b"meta scale zz", ValueError, "unknown scale 'zz'; expected one of ['m', 'n', 's']"),
+    ], ids=["width-text", "depth-text", "classes-float", "width-inf", "scale-unknown"])
+    def test_bad_meta_value_rejected(self, tmp_path, toy_model, line, error, want):
+        path = _checkpoint_with_meta_line(tmp_path, toy_model, line)
+        with pytest.raises(error) as err:
+            Detector.from_checkpoint(path)
+        assert str(err.value) == want
 
     def test_shape_mismatch_detected(self, tmp_path, toy_model):
         path = tmp_path / "model.ckpt"

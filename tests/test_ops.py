@@ -721,11 +721,16 @@ class TestProducerRecipes:
             assert run().rebuild is None
 
     def test_no_recipe_from_an_input_without_one(self):
-        # softplus keeps its output and a slice its copy: their inputs have no recipe
+        # softplus keeps its output and a layout op its copy: their inputs have no recipe
         x = Tensor(np.ones((2, 3)), requires_grad=True)
+        m = Tensor(np.ones((2, 4, 3, 3)), requires_grad=True)
         with Tape():
             assert ops.softplus(x * 2.0).rebuild is None
             assert (x * 2.0)[:, 1:].rebuild is None
+            assert ops.concat_channels([m * 2.0, m * 3.0]).rebuild is None
+            assert ops.shuffle_concat([m * 2.0, m * 3.0], 4).rebuild is None
+            assert ops.channel_shuffle(m * 2.0, 2).rebuild is None
+            assert ops.upsample_nearest(m * 2.0).rebuild is None
 
     def test_softplus_rule_pops_what_the_rebuild_left(self):
         # the scan's rule rebuilds delta, softplus's rule takes that array

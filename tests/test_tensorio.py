@@ -110,13 +110,24 @@ def test_checkpoint_bad_version_line_rejected(tmp_path, first_line):
 
 
 @pytest.mark.parametrize("line", ["garbage", "meta onlykey", "tensor x a b", "tensor x 0",
-                                  "tensor x -1 10", "blob x 0 10", "meta n \xff"])
+                                  "tensor x -1 10", "blob x 0 10", "meta n \xff", "meta scale m"])
 def test_checkpoint_malformed_manifest_line_named(tmp_path, line):
     path = tmp_path / "broken.ckpt"
     path.write_bytes(b"CKPT 1\nmeta scale n\n" + line.encode() + b"\nend\n")
     with pytest.raises(TensorFormatError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"malformed checkpoint manifest line 3: {line!r}"
+
+
+def test_checkpoint_duplicated_tensor_line_named(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(path, {"x": np.arange(3.0)})
+    raw = path.read_bytes()
+    line = raw.split(b"\n")[1]
+    path.write_bytes(raw.replace(line + b"\n", line + b"\n" + line + b"\n", 1))
+    with pytest.raises(TensorFormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"malformed checkpoint manifest line 3: {line.decode()!r}"
 
 
 _GOOD_BLOB = tensor_bytes(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
